@@ -1,58 +1,34 @@
-// Benchmark harness regenerating the paper's evaluation (§6): one benchmark
-// per table and figure, plus ablations of the design decisions DESIGN.md
-// calls out. The paper's testbed drove up to one million real WebSocket
-// connections into 2×8-core Xeon servers over 10 GbE; this harness runs the
-// identical engine code path over in-process connections with client counts
-// scaled down by ScaleDivisor (the environment allows neither a million
-// sockets nor ten cores). Shapes — linear CPU growth, flat-then-rising
-// latency, tail inflation at saturation, bounded degradation after a
-// fail-stop, zero message loss — are preserved; absolute values are not
-// comparable and are not meant to be.
+// Informational benchmarks regenerating the shapes of the paper's evaluation
+// (§6) that benchmark/ has no workload for yet: one benchmark per table and
+// figure, plus ablations of the design decisions the paper calls out. The
+// paper's testbed drove up to one million real WebSocket connections into
+// 2×8-core Xeon servers over 10 GbE; these run the engine over in-process
+// pipes (the fallback read path, not the netpoll path production uses) with
+// client counts scaled down by ScaleDivisor. Shapes — linear CPU growth,
+// flat-then-rising latency, tail inflation at saturation, bounded
+// degradation after a fail-stop, zero message loss — are preserved; the
+// numbers are printed, never gated, and no performance claim rides on them:
+// claims ride on benchmark/ (real sockets, several runs, a noise bound). The
+// engine's counter invariants are plain tests in invariants_test.go.
 package migratorydata_test
 
 import (
 	"fmt"
-	"net"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"migratorydata/internal/cache"
 	"migratorydata/internal/cluster"
 	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
 	"migratorydata/internal/loadgen"
 	"migratorydata/internal/metrics"
-	"migratorydata/internal/netpoll"
 	"migratorydata/internal/protocol"
-	"migratorydata/internal/transport"
 )
 
 // ScaleDivisor maps the paper's client counts onto this environment:
 // 100,000 paper subscribers -> 1,000 here.
 const ScaleDivisor = 100
-
-// appendBenchRow writes one machine-readable benchmark row when the named
-// environment variable selects an output path and the run is measured (the
-// testing package probes with b.N == 1, where fixed costs dominate). CI's
-// bench-smoke job sets BENCH_INGEST_JSON / BENCH_EGRESS_JSON /
-// BENCH_BACKPRESSURE_JSON and uploads the files as one bench-trajectory
-// artifact; cmd/benchguard gates them against docs/bench-baselines.
-func appendBenchRow(b *testing.B, envVar string, minIters int, row metrics.BenchRow) {
-	b.Helper()
-	path := os.Getenv(envVar)
-	if path == "" || b.N < minIters {
-		return
-	}
-	if err := metrics.AppendBenchJSON(path, row); err != nil {
-		b.Errorf("%s: %v", envVar, err)
-	}
-}
 
 // benchEngine builds the engine in the paper's evaluation configuration
 // (batching and conflation off).
@@ -109,8 +85,7 @@ func BenchmarkTable1VerticalScalability(b *testing.B) {
 }
 
 // BenchmarkFigure3LatencyCPUCurve samples three points of the Figure 3
-// curve (low / mid / saturated) — the full 10-point sweep is Table 1 above
-// and `cmd/bench-vertical` prints it as the paper formats it.
+// curve (low / mid / saturated) — the full 10-point sweep is Table 1 above.
 func BenchmarkFigure3LatencyCPUCurve(b *testing.B) {
 	for _, step := range []int{2, 6, 10} {
 		paperSubs := step * 100_000
@@ -202,119 +177,6 @@ func BenchmarkC10MScenario(b *testing.B) {
 		}
 		reportScenario(b, res)
 		b.ReportMetric(float64(clients), "connections")
-	}
-}
-
-// envInt reads an integer from the environment, with a default.
-func envInt(name string, def int) int {
-	if v := os.Getenv(name); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-// BenchmarkC10MIdleConnections is the connection-scale gate over REAL
-// sockets: dial C10M_CONNS (default 2000; CI's c10m-scale lane runs
-// 100000) loopback TCP connections, subscribe each to its own topic, let
-// everything idle, and measure what an idle connection actually costs —
-// post-GC heap bytes (both halves: engine and dialer share the process)
-// and goroutines. The goroutine figure is the tentpole property of the
-// epoll read path: connections must NOT cost a reader goroutine each, so
-// goroutines/conn stays near zero (the poll loops are per-IoThread). A
-// liveness probe publishes to one fleet topic and waits for delivery, so
-// "sustained" means the engine still works at the target count, not
-// merely that the sockets opened.
-//
-// With BENCH_C10M_JSON=<path> the run appends a machine-readable row.
-// gated_goroutines_per_conn rides benchguard's +0.01 tolerance — exactly
-// the acceptance bound (< 0.01 goroutines per connection) — and
-// gated_bytes_budget_exceeded flags a per-connection heap cost above
-// C10M_BYTES_BUDGET (default 16 KiB for the connection pair; the raw
-// bytes_per_idle_conn figure stays informational because absolute heap
-// numbers are runner-noisy).
-func BenchmarkC10MIdleConnections(b *testing.B) {
-	conns := envInt("C10M_CONNS", 2000)
-	budget := envInt("C10M_BYTES_BUDGET", 16<<10)
-	if _, err := loadgen.RaiseFDLimit(uint64(2*conns) + 4096); err != nil {
-		b.Logf("RaiseFDLimit: %v (continuing with the current limit)", err)
-	}
-	for i := 0; i < b.N; i++ {
-		e := core.New(core.Config{ServerID: "c10m-idle", IoThreads: 4, Workers: 2, TopicGroups: 100})
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go e.Serve(l, "raw")
-
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		g0 := runtime.NumGoroutine()
-
-		fleet, err := loadgen.DialIdleFleet(loadgen.IdleFleetOptions{
-			Addr: l.Addr().String(), Conns: conns, TopicPrefix: "idle",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := e.NumClients(); got != conns {
-			b.Fatalf("engine sustains %d of %d connections", got, conns)
-		}
-
-		// Idle steady state: everything subscribed, nothing flowing.
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m1)
-		g1 := runtime.NumGoroutine()
-		bytesPerConn := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / float64(conns)
-		goroutinesPerConn := float64(g1-g0) / float64(conns)
-
-		// Liveness probe: the fleet is sustained only if delivery still works.
-		probeTarget := e.Stats().Delivered + 1
-		e.Deliver(fmt.Sprintf("idle-%d", conns/2), cache.Entry{Epoch: 1, Seq: 1, Payload: []byte("ping")})
-		deadline := time.Now().Add(10 * time.Second)
-		for e.Stats().Delivered < probeTarget {
-			if time.Now().After(deadline) {
-				b.Fatalf("liveness probe undelivered at %d connections", conns)
-			}
-			time.Sleep(time.Millisecond)
-		}
-
-		b.ReportMetric(float64(conns), "conns")
-		b.ReportMetric(bytesPerConn, "bytes/conn")
-		b.ReportMetric(goroutinesPerConn, "goroutines/conn")
-
-		if netpoll.Supported() {
-			// The tentpole bound. Only meaningful on the kernel-poller path;
-			// nonetpoll builds intentionally pay a reader goroutine per
-			// connection and are not connection-scale builds.
-			if goroutinesPerConn >= 0.01 {
-				b.Errorf("%.4f goroutines per connection (%d for %d conns), want < 0.01 — reader-per-conn suspected",
-					goroutinesPerConn, g1-g0, conns)
-			}
-			exceeded := 0.0
-			if bytesPerConn > float64(budget) {
-				exceeded = 1
-			}
-			appendBenchRow(b, "BENCH_C10M_JSON", 1, metrics.BenchRow{
-				Name:       b.Name(),
-				Iterations: b.N,
-				Extra: map[string]float64{
-					"max_sustained_conns":         float64(conns),
-					"bytes_per_idle_conn":         bytesPerConn,
-					"goroutines_per_conn":         goroutinesPerConn,
-					"gated_goroutines_per_conn":   goroutinesPerConn,
-					"gated_bytes_budget_exceeded": exceeded,
-				},
-			})
-		}
-
-		fleet.Close()
-		l.Close()
-		e.Close()
 	}
 }
 
@@ -614,7 +476,7 @@ func (p *benchPublisher) publishAndWait(b *testing.B, topic string) {
 }
 
 // BenchmarkClusterSparseForward measures cluster-wide interest-aware
-// delivery — the cross-node analogue of BenchmarkSparseFanout. Both runs
+// delivery — the cross-node analogue of TestSparseFanoutWorkerPushes. Both runs
 // drive the same workload into a 3-member cluster; they differ only in
 // subscriber placement. "sparse" concentrates every subscriber on member 0
 // while the publisher sits on member 1: the coordinators learn from the
@@ -672,677 +534,4 @@ func BenchmarkClusterSparseForward(b *testing.B) {
 	}
 	b.Run("sparse", func(b *testing.B) { run(b, []int{0}, true) })
 	b.Run("dense-baseline", func(b *testing.B) { run(b, nil, false) })
-}
-
-// BenchmarkDenseFanout measures the grouped egress pipeline on the paper's
-// dense fan-out shape: one hot topic whose 1000 subscribers are spread over
-// 4 IoThreads. Before the egress overhaul, each delivered publication cost
-// one MPSC push (one mutex acquisition on the worker, one event, one
-// time.Now() on the IoThread) PER SUBSCRIBER; grouped fan-out buckets the
-// subscribers by owning IoThread and pushes one evWriteMulti per IoThread,
-// so "fanout-events/op" must stay ≤ the IoThread count — the benchmark
-// fails if it does not. A single Worker makes the bound exact (with W
-// workers the bound is W × IoThreads, still independent of the subscriber
-// count); the worker-side routing cost is BenchmarkSparseFanout's job.
-func BenchmarkDenseFanout(b *testing.B) {
-	const (
-		ioThreads   = 4
-		subscribers = 1000
-	)
-	e := core.New(core.Config{ServerID: "dense", IoThreads: ioThreads, Workers: 1, TopicGroups: 100})
-	b.Cleanup(func() { e.Close() })
-	attach := loadgen.SingleEngineAttach(e, 1<<16)
-	for i := 0; i < subscribers; i++ {
-		conn, err := attach(i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { conn.Close() })
-		if _, err := conn.Write(protocol.Encode(&protocol.Message{Kind: protocol.KindSubscribe,
-			Topics: []protocol.TopicPosition{{Topic: "hot"}}})); err != nil {
-			b.Fatal(err)
-		}
-		go func() {
-			buf := make([]byte, 1<<15)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	// Wait until every subscription is registered and indexed: a probe
-	// publication must reach all subscribers.
-	readyDeadline := time.Now().Add(10 * time.Second)
-	for {
-		before := e.Stats().Delivered
-		e.Deliver("hot", cache.Entry{Epoch: 1, Seq: 1})
-		time.Sleep(10 * time.Millisecond)
-		if int(e.Stats().Delivered-before) == subscribers {
-			break
-		}
-		if time.Now().After(readyDeadline) {
-			b.Fatalf("subscriptions not ready: probe reached %d of %d subscribers",
-				e.Stats().Delivered-before, subscribers)
-		}
-	}
-
-	waitDelivered := func(target int64) {
-		deadline := time.Now().Add(30 * time.Second)
-		for e.Stats().Delivered < target {
-			if time.Now().After(deadline) {
-				b.Fatalf("fan-out stalled: delivered=%d target=%d", e.Stats().Delivered, target)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-
-	entry := cache.Entry{Epoch: 1, Seq: 1, Payload: make([]byte, 140)}
-	start := e.Stats()
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Deliver("hot", entry)
-		// Bound queue growth: periodically let the fan-out drain.
-		if i%256 == 255 {
-			waitDelivered(start.Delivered + int64(subscribers)*int64(i+1))
-		}
-	}
-	// Drain fully so the counters cover every delivery issued above.
-	waitDelivered(start.Delivered + int64(subscribers)*int64(b.N))
-	b.StopTimer()
-	runtime.ReadMemStats(&m1)
-
-	// The writes themselves complete asynchronously on the IoThreads; wait
-	// for them so io-flushes/op covers the whole run (batching is off, so
-	// one write per subscriber per message is expected).
-	flushTarget := start.IOFlushes + int64(subscribers)*int64(b.N)
-	flushDeadline := time.Now().Add(30 * time.Second)
-	for e.Stats().IOFlushes < flushTarget && time.Now().Before(flushDeadline) {
-		time.Sleep(time.Millisecond)
-	}
-
-	st := e.Stats()
-	fanPerOp := float64(st.FanoutEvents-start.FanoutEvents) / float64(b.N)
-	b.ReportMetric(fanPerOp, "fanout-events/op")
-	b.ReportMetric(float64(st.DeliverRouted-start.DeliverRouted)/float64(b.N), "deliver-events/op")
-	b.ReportMetric(float64(st.IOFlushes-start.IOFlushes)/float64(b.N), "io-flushes/op")
-	b.ReportMetric(float64(subscribers), "subscribers")
-	if fanPerOp > ioThreads {
-		b.Errorf("grouped fan-out pushed %.2f events/msg, want ≤ %d (the IoThread count)",
-			fanPerOp, ioThreads)
-	}
-	appendBenchRow(b, "BENCH_EGRESS_JSON", 1000, metrics.BenchRow{
-		Name:       b.Name(),
-		Iterations: b.N,
-		NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		// Delivered notifications per second: each op fans out to every
-		// subscriber. This row measures ~1s of macro work, so the
-		// throughput gate is meaningful; the alloc figure is
-		// whole-process (1000 drain goroutines, stall timers) and
-		// scheduling-noisy, so it rides in Extra as informational. The
-		// deterministic queue-efficiency invariant is the gated metric.
-		MsgsPerSec: float64(b.N) * subscribers / b.Elapsed().Seconds(),
-		Extra: map[string]float64{
-			"gated_fanout_events_per_op": fanPerOp,
-			"subscribers":                subscribers,
-			"allocs_per_op_noisy":        float64(m1.Mallocs-m0.Mallocs) / float64(b.N),
-		},
-	})
-}
-
-// TestRawReadPathAllocFree proves the pooled-chunk contract end to end on
-// the raw-TCP transport: once the pool is warm, a ReadChunk + recycle cycle
-// — the per-read work of engine.readLoop plus the IoThread's release —
-// performs no heap allocation. Before the egress overhaul every ReadChunk
-// copied into a fresh make([]byte, n).
-func TestRawReadPathAllocFree(t *testing.T) {
-	client, server := transport.NewPipeSize(
-		transport.Addr{Net: "inproc", Address: "alloc-client"},
-		transport.Addr{Net: "inproc", Address: "alloc-server"},
-		1<<16,
-	)
-	defer client.Close()
-	defer server.Close()
-	framed := core.NewRawFramed(server)
-	frame := protocol.Encode(&protocol.Message{
-		Kind: protocol.KindPublish, Topic: "t", ID: "id",
-		Payload: make([]byte, 140), Timestamp: 1,
-	})
-
-	readOne := func() {
-		if _, err := client.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		chunk, err := framed.ReadChunk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(chunk) != len(frame) {
-			t.Fatalf("chunk length %d, want %d", len(chunk), len(frame))
-		}
-		core.RecycleReadChunk(chunk)
-	}
-	readOne() // warm the pool's per-P slot
-	allocs := testing.AllocsPerRun(500, readOne)
-	if allocs > 0.1 {
-		t.Errorf("raw read path allocates %.2f objects per read, want ~0", allocs)
-	}
-}
-
-// BenchmarkSparseFanout measures subscription-aware delivery routing on the
-// workload the paper's fan-out stage cares about: many topics, subscribers
-// concentrated on few workers. The engine runs 8 workers; "one-worker" has
-// every subscriber of the hot topic pinned to a single worker, so each
-// publication must enqueue exactly one worker event, "unsubscribed-topic"
-// publishes to a topic nobody subscribes to (zero events, zero allocs), and
-// "broadcast-dense" spreads 64 subscribers over all workers — the cost the
-// pre-index engine paid for EVERY publication regardless of subscriptions.
-// Compare queue-events/op and allocs/op across the three.
-func BenchmarkSparseFanout(b *testing.B) {
-	const workers = 8
-	setup := func(b *testing.B, subscribers int, topic string) *core.Engine {
-		b.Helper()
-		// Overload protection off, as in BenchmarkPublishIngest: the bare
-		// Deliver loop pushes hundreds of MB/s at single harness drains
-		// between the coarse drain gates, which the default budget would
-		// (correctly) fence. This benchmark measures worker-side routing;
-		// the overload path has BenchmarkSlowConsumerIsolation.
-		e := core.New(core.Config{ServerID: "sparse", IoThreads: 2, Workers: workers, TopicGroups: 100,
-			EgressBudgetBytes: -1})
-		b.Cleanup(func() { e.Close() })
-		attach := loadgen.SingleEngineAttach(e, 1<<16)
-		for i := 0; i < subscribers; i++ {
-			conn, err := attach(i)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { conn.Close() })
-			if _, err := conn.Write(protocol.Encode(&protocol.Message{Kind: protocol.KindSubscribe,
-				Topics: []protocol.TopicPosition{{Topic: topic}}})); err != nil {
-				b.Fatal(err)
-			}
-			go func() {
-				buf := make([]byte, 1<<15)
-				for {
-					if _, err := conn.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-		}
-		// Wait until every subscription reached its worker and is indexed:
-		// a probe publication must fan out to all subscribers.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			before := e.Stats().Delivered
-			e.Deliver(topic, cache.Entry{Epoch: 1, Seq: 1})
-			time.Sleep(10 * time.Millisecond)
-			if int(e.Stats().Delivered-before) == subscribers {
-				return e
-			}
-			if time.Now().After(deadline) {
-				b.Fatalf("subscriptions not ready: probe reached %d of %d subscribers",
-					e.Stats().Delivered-before, subscribers)
-			}
-		}
-	}
-	waitDelivered := func(b *testing.B, e *core.Engine, target int64) {
-		b.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for e.Stats().Delivered < target {
-			if time.Now().After(deadline) {
-				b.Fatalf("fan-out stalled: delivered=%d target=%d", e.Stats().Delivered, target)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	measure := func(b *testing.B, e *core.Engine, topic string, subs int) {
-		b.Helper()
-		entry := cache.Entry{Epoch: 1, Seq: 1, Payload: make([]byte, 140)}
-		start := e.Stats()
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.Deliver(topic, entry)
-			// Bound queue growth: periodically let the fan-out drain.
-			if subs > 0 && i%1024 == 1023 {
-				waitDelivered(b, e, start.Delivered+int64(subs)*int64(i+1))
-			}
-		}
-		b.StopTimer()
-		runtime.ReadMemStats(&m1)
-		st := e.Stats()
-		queuePerOp := float64(st.DeliverRouted-start.DeliverRouted) / float64(b.N)
-		b.ReportMetric(queuePerOp, "queue-events/op")
-		b.ReportMetric(float64(st.DeliverSkipped-start.DeliverSkipped)/float64(b.N), "skipped-events/op")
-		// Sparse sub-runs are nanosecond-scale microbenchmarks: raw timing
-		// is too noisy to gate, so MsgsPerSec stays informational (Extra)
-		// and the gate rides on the deterministic routing invariant —
-		// queue events per publication must never grow.
-		appendBenchRow(b, "BENCH_EGRESS_JSON", 1000, metrics.BenchRow{
-			Name:       b.Name(),
-			Iterations: b.N,
-			NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-			Extra: map[string]float64{
-				"gated_queue_events_per_op": queuePerOp,
-				"publishes_per_sec":         float64(b.N) / b.Elapsed().Seconds(),
-				"subscribers":               float64(subs),
-				"allocs_per_op_noisy":       float64(m1.Mallocs-m0.Mallocs) / float64(b.N),
-			},
-		})
-	}
-	b.Run("unsubscribed-topic", func(b *testing.B) {
-		e := setup(b, 1, "hot") // one unrelated subscriber so the engine is not empty
-		measure(b, e, "cold", 0)
-	})
-	b.Run("one-worker", func(b *testing.B) {
-		e := setup(b, 1, "hot")
-		measure(b, e, "hot", 1)
-	})
-	b.Run("broadcast-dense", func(b *testing.B) {
-		e := setup(b, 64, "hot")
-		measure(b, e, "hot", 64)
-	})
-	// The sparse-subscription workload itself: publications round-robin
-	// over 64 topics of which exactly one has a subscriber. The broadcast
-	// baseline paid 8 queue events and one frame encode for every
-	// publication here; routing pays them for 1 in 64.
-	b.Run("sparse-mixed", func(b *testing.B) {
-		e := setup(b, 1, "hot")
-		topics := make([]string, 64)
-		for i := range topics {
-			topics[i] = fmt.Sprintf("cold-%d", i)
-		}
-		topics[0] = "hot"
-		entry := cache.Entry{Epoch: 1, Seq: 1, Payload: make([]byte, 140)}
-		start := e.Stats()
-		hot := 0
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tp := topics[i%len(topics)]
-			if i%len(topics) == 0 {
-				hot++
-			}
-			e.Deliver(tp, entry)
-			if i%4096 == 4095 {
-				waitDelivered(b, e, start.Delivered+int64(hot))
-			}
-		}
-		b.StopTimer()
-		st := e.Stats()
-		b.ReportMetric(float64(st.DeliverRouted-start.DeliverRouted)/float64(b.N), "queue-events/op")
-		b.ReportMetric(float64(st.DeliverSkipped-start.DeliverSkipped)/float64(b.N), "skipped-events/op")
-	})
-}
-
-// BenchmarkPublishIngest measures the ingest overhaul on its design point:
-// many concurrent publishers hammering one topic (one topic group). Three
-// invariants are asserted, not just reported:
-//
-//   - one group-lock acquisition per publish (cache.MemStats counts the
-//     append-path write-lock acquisitions; before the overhaul each publish
-//     paid three — sequencer mutex, Position, Append);
-//   - <= 2 allocs/op in the steady state (pooled messages, pooled payload
-//     hand-off, reused staging buffers; the NOTIFY frame encode is the one
-//     irreducible allocation on the subscribed path — and it happens
-//     OUTSIDE the group lock, after the per-group FIFO hand-off);
-//   - delivery still reaches every subscriber (the drain targets).
-//
-// With BENCH_INGEST_JSON=<path> each memory-only sub-benchmark appends a
-// machine-readable row (msgs/s, allocs/op, cache bytes, lock
-// acquisitions/op) — the CI bench-smoke job uses this to track the perf
-// trajectory across commits. The durable-* variants (segment log on)
-// write to BENCH_DURABILITY_JSON instead, asserting the same invariants.
-func BenchmarkPublishIngest(b *testing.B) {
-	const topic = "ingest-hot"
-	run := func(b *testing.B, subscribers int, durable bool) {
-		// Overload protection off: the parallel publishers intentionally
-		// outrun the raw drain goroutine between the harness's coarse
-		// drain gates, which the default budget would (correctly) fence as
-		// a critically slow consumer. This benchmark measures sequencing
-		// under that harness-driven backpressure; the overload path has
-		// its own benchmark (BenchmarkSlowConsumerIsolation).
-		cfg := core.Config{ServerID: "ingest", IoThreads: 2, Workers: 2, TopicGroups: 100,
-			EgressBudgetBytes: -1}
-		if durable {
-			// Durable variant: the same publish path with the write-behind
-			// segment log on (default fsync policy, 100ms interval). The
-			// invariants must not move — persistence rides the drainer, off
-			// the publish critical path.
-			cfg.DataDir = b.TempDir()
-		}
-		e, err := core.Open(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { e.Close() })
-		attach := loadgen.SingleEngineAttach(e, 1<<16)
-		for i := 0; i < subscribers; i++ {
-			conn, err := attach(i)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { conn.Close() })
-			if _, err := conn.Write(protocol.Encode(&protocol.Message{Kind: protocol.KindSubscribe,
-				Topics: []protocol.TopicPosition{{Topic: topic}}})); err != nil {
-				b.Fatal(err)
-			}
-			go func() { // raw drain: the server side is what is measured
-				buf := make([]byte, 1<<15)
-				for {
-					if _, err := conn.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-		}
-		publishOne := func() {
-			m := protocol.AcquireMessage()
-			m.Kind = protocol.KindPublish
-			m.Topic = topic
-			m.ID = "bench"
-			m.Payload = benchIngestPayload
-			m.Timestamp = 1
-			e.Publish(m) // takes ownership; allocation-free with pooled messages
-		}
-		waitDelivered := func(target int64) {
-			deadline := time.Now().Add(30 * time.Second)
-			for e.Stats().Delivered < target {
-				if time.Now().After(deadline) {
-					b.Fatalf("fan-out stalled: delivered=%d target=%d", e.Stats().Delivered, target)
-				}
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
-		if subscribers > 0 {
-			// Wait until the subscriptions are registered and indexed.
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				before := e.Stats().Delivered
-				publishOne()
-				time.Sleep(10 * time.Millisecond)
-				if int(e.Stats().Delivered-before) == subscribers {
-					break
-				}
-				if time.Now().After(deadline) {
-					b.Fatalf("subscriptions not ready: probe reached %d of %d subscribers",
-						e.Stats().Delivered-before, subscribers)
-				}
-			}
-		}
-		// Warm every pool (messages, payload buffers, staging, queue slabs)
-		// outside the measured region, then let the pipeline drain.
-		warmupFrom := e.Stats().Delivered
-		for i := 0; i < 256; i++ {
-			publishOne()
-		}
-		waitDelivered(warmupFrom + 256*int64(subscribers))
-		deliveredStart := e.Stats().Delivered
-		lockStart := e.Cache().MemStats().GroupLockAcquisitions
-		var published atomic.Int64
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		b.ResetTimer()
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				publishOne()
-				if subscribers > 0 {
-					// Bound queue growth: periodically let the fan-out drain.
-					if n := published.Add(1); n%2048 == 0 {
-						waitDelivered(deliveredStart + (n-2048)*int64(subscribers))
-					}
-				}
-			}
-		})
-		b.StopTimer()
-		if subscribers > 0 {
-			waitDelivered(deliveredStart + int64(b.N)*int64(subscribers))
-		}
-		runtime.ReadMemStats(&m1)
-
-		ms := e.Cache().MemStats()
-		lockPerOp := float64(ms.GroupLockAcquisitions-lockStart) / float64(b.N)
-		allocsPerOp := float64(m1.Mallocs-m0.Mallocs) / float64(b.N)
-		msgsPerSec := float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(lockPerOp, "group-lock-acqs/op")
-		b.ReportMetric(allocsPerOp, "measured-allocs/op")
-		b.ReportMetric(msgsPerSec, "msgs/s")
-		b.ReportMetric(float64(ms.Bytes()), "cache-bytes")
-
-		if got := ms.GroupLockAcquisitions - lockStart; got != int64(b.N) {
-			b.Errorf("%d publishes took %d group-lock acquisitions, want exactly one each", b.N, got)
-		}
-		// MemStats covers the whole process (publishers, workers, ioThreads,
-		// drains), so give the assertion a statistically meaningful N: at 1x
-		// (the CI smoke run) fixed costs dominate and prove nothing.
-		if b.N >= 10_000 && allocsPerOp > 2 {
-			b.Errorf("steady-state publish path allocates %.2f objects/op, want <= 2", allocsPerOp)
-		}
-		st := e.Stats()
-		envVar := "BENCH_INGEST_JSON"
-		extra := map[string]float64{"subscribers": float64(subscribers)}
-		if durable {
-			// Every sequenced publish must have been staged toward the log
-			// (warm-up and readiness probes append too, hence >=), and the
-			// sink must have stayed healthy for the run to mean anything.
-			if st.SeglogAppends < int64(b.N) {
-				b.Errorf("seglog staged %d of %d published entries", st.SeglogAppends, b.N)
-			}
-			if st.SeglogFailed != 0 {
-				b.Error("segment log hit a terminal sink error during the benchmark")
-			}
-			envVar = "BENCH_DURABILITY_JSON"
-			extra["seglog_appended_bytes"] = float64(st.SeglogAppendedBytes)
-			extra["seglog_flushes"] = float64(st.SeglogFlushes)
-			extra["gated_seglog_failed"] = float64(st.SeglogFailed)
-		}
-		// Only the measured run goes to the artifact — the testing package
-		// first probes with b.N == 1, where fixed costs dominate.
-		appendBenchRow(b, envVar, 1000, metrics.BenchRow{
-			Name:          b.Name(),
-			Iterations:    b.N,
-			NsPerOp:       float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-			MsgsPerSec:    msgsPerSec,
-			AllocsPerOp:   allocsPerOp,
-			CacheBytes:    ms.Bytes(),
-			LockAcqsPerOp: lockPerOp,
-			Extra:         extra,
-		})
-	}
-	// no-subscribers: pure sequencing cost — no encode, no fan-out, ~0
-	// allocs. one-subscriber: the full pipeline including the lazy NOTIFY
-	// encode (the +1 alloc) and the egress hand-off. The durable-* variants
-	// rerun both with the segment log enabled: same 1-lock/≤2-alloc
-	// invariants, proving persistence stays off the publish critical path.
-	b.Run("no-subscribers", func(b *testing.B) { run(b, 0, false) })
-	b.Run("one-subscriber", func(b *testing.B) { run(b, 1, false) })
-	b.Run("durable-no-subscribers", func(b *testing.B) { run(b, 0, true) })
-	b.Run("durable-one-subscriber", func(b *testing.B) { run(b, 1, true) })
-}
-
-// benchIngestPayload is shared by every published message in
-// BenchmarkPublishIngest (the cache retains payload references; content is
-// irrelevant to the measured path).
-var benchIngestPayload = make([]byte, 140)
-
-// BenchmarkSlowConsumerIsolation measures the overload path on its design
-// point (docs/ARCHITECTURE.md, "The overload path"): 1000 subscribers on
-// conflatable topics, of which K = 8 stall mid-stream — they keep their
-// connections open but stop reading. Three properties are asserted, not
-// just reported:
-//
-//   - isolation: the fast subscribers' delivered msgs/s stays within 2x of
-//     a no-stall baseline run (before the overload path, one stalled
-//     transport write wedged its IoThread and starved every client on it);
-//   - bounded memory: the stalled clients' staged egress bytes never
-//     exceed the per-client budget × K (the pressure tiers conflate and
-//     drop-oldest instead of growing the heap), and the post-run heap
-//     returns to baseline;
-//   - no spurious fencing: a conflatable workload is absorbed by drops,
-//     never by disconnects, and fast subscribers see zero gaps.
-//
-// With BENCH_BACKPRESSURE_JSON=<path> both runs append machine-readable
-// rows for the CI bench-trajectory artifact. CI runs this race-enabled at
-// -benchtime 1x.
-func BenchmarkSlowConsumerIsolation(b *testing.B) {
-	const (
-		subscribers = 1000
-		stallK      = 8
-		budgetBytes = 32 << 10
-	)
-	scenario := loadgen.Scenario{
-		Subscribers:     subscribers,
-		Topics:          10,
-		PayloadSize:     256,
-		PublishInterval: 10 * time.Millisecond,
-		Warmup:          time.Second,
-		Measure:         2 * time.Second,
-		TopicPrefix:     "slow",
-		Seed:            21,
-	}
-	run := func(b *testing.B, stall int) loadgen.SlowConsumerResult {
-		b.Helper()
-		e := core.New(core.Config{
-			ServerID: "slowc", IoThreads: 4, Workers: 2, TopicGroups: 100,
-			EgressBudgetBytes: budgetBytes,
-			Classify:          func(string) core.DeliveryClass { return core.ClassConflatable },
-		})
-		defer e.Close()
-		res, err := loadgen.RunSlowConsumerScenario(e, loadgen.SlowConsumerScenario{
-			Scenario:     scenario,
-			StallReaders: stall,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Gaps != 0 {
-			b.Fatalf("fast subscribers saw %d gaps", res.Gaps)
-		}
-		return res
-	}
-	for i := 0; i < b.N; i++ {
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		base := run(b, 0)
-		stalled := run(b, stallK)
-		runtime.GC()
-		runtime.ReadMemStats(&m1)
-		heapGrowth := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
-
-		if stalled.FastMsgsPerSec*2 < base.FastMsgsPerSec {
-			b.Errorf("fast subscribers dropped to %.0f msgs/s with %d stalled peers (baseline %.0f): isolation broken",
-				stalled.FastMsgsPerSec, stallK, base.FastMsgsPerSec)
-		}
-		// Budget × K, plus one in-flight write attempt per stalled client.
-		if bound := int64(stallK * (budgetBytes + (4 << 10))); stalled.MaxSlowConsumerBytes > bound {
-			b.Errorf("stalled clients pinned %d staged bytes, budget bound is %d",
-				stalled.MaxSlowConsumerBytes, bound)
-		}
-		if heapGrowth > 64<<20 {
-			b.Errorf("heap grew %d bytes across the stalled run: slow consumers pin unbounded memory", heapGrowth)
-		}
-		if stalled.PressureDisconnects != 0 {
-			b.Errorf("conflatable overload fenced %d clients, want drops only", stalled.PressureDisconnects)
-		}
-		if stall := stalled.MaxSlowConsumers; stall < stallK {
-			b.Errorf("slow_consumers peaked at %d, want %d", stall, stallK)
-		}
-
-		b.ReportMetric(base.FastMsgsPerSec, "baseline-msgs/s")
-		b.ReportMetric(stalled.FastMsgsPerSec, "stalled-msgs/s")
-		b.ReportMetric(float64(stalled.MaxSlowConsumerBytes), "max-slow-bytes")
-		b.ReportMetric(float64(stalled.PressureDrops), "pressure-drops")
-		b.ReportMetric(stalled.Latency.P99, "lat-p99-ms")
-
-		// The hard gates for this benchmark run INSIDE it (the 2x
-		// isolation ratio and the budget bound above fail the run); the
-		// trajectory rows are informational, so a slower CI runner class
-		// cannot trip the absolute-throughput gate. benchguard still fails
-		// if the rows stop being emitted.
-		appendBenchRow(b, "BENCH_BACKPRESSURE_JSON", 1, metrics.BenchRow{
-			Name:       b.Name() + "/baseline",
-			Iterations: b.N,
-			Extra: map[string]float64{
-				"fast_msgs_per_sec": base.FastMsgsPerSec,
-				"subscribers":       subscribers,
-			},
-		})
-		appendBenchRow(b, "BENCH_BACKPRESSURE_JSON", 1, metrics.BenchRow{
-			Name:       b.Name() + "/stalled-8",
-			Iterations: b.N,
-			Extra: map[string]float64{
-				"fast_msgs_per_sec": stalled.FastMsgsPerSec,
-				"subscribers":       subscribers,
-				"stalled":           stallK,
-				"max_slow_bytes":    float64(stalled.MaxSlowConsumerBytes),
-				"pressure_drops":    float64(stalled.PressureDrops),
-				"heap_growth":       float64(heapGrowth),
-				"fast_over_base":    stalled.FastMsgsPerSec / base.FastMsgsPerSec,
-				"slow_consumers":    float64(stalled.MaxSlowConsumers),
-				"disconnects":       float64(stalled.PressureDisconnects),
-				"egress_queue_max":  float64(stalled.MaxEgressQueueBytes),
-			},
-		})
-	}
-}
-
-// BenchmarkScenarios runs the named scenario library at benchmark scale
-// and asserts every scenario's own degradation thresholds — the library's
-// traffic shapes double as regression gates (reduced-scale versions run
-// race-enabled in the test suite; see internal/loadgen/scenarios_test.go).
-//
-// With BENCH_SCENARIOS_JSON=<path> each scenario appends a machine-readable
-// row for the CI bench-trajectory artifact. The deterministic guarantees
-// ride in gated_* metrics (benchguard fails if they ever rise over the
-// committed baseline): reliable gaps and pressure disconnects are zero for
-// every shape in the library.
-func BenchmarkScenarios(b *testing.B) {
-	for _, sc := range loadgen.Scenarios() {
-		sc := sc
-		b.Run(sc.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := sc.Run(loadgen.ScenarioOptions{Seed: 21})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Green() {
-					b.Fatalf("scenario %s violated its thresholds:\n  %s",
-						sc.Name, strings.Join(rep.Violations, "\n  "))
-				}
-				b.ReportMetric(rep.MsgsPerSec, "msgs/s")
-				b.ReportMetric(rep.Latency.P99, "lat-p99-ms")
-				b.ReportMetric(rep.DropRate, "drop-rate")
-				b.ReportMetric(float64(rep.WindowDisconnects), "disconnects")
-
-				// Like BenchmarkSlowConsumerIsolation, the trajectory rows
-				// carry no absolute-throughput gate (runner classes vary);
-				// the zero-guarantees are gated, throughput is informational.
-				appendBenchRow(b, "BENCH_SCENARIOS_JSON", 1, metrics.BenchRow{
-					Name:       b.Name(),
-					Iterations: b.N,
-					Extra: map[string]float64{
-						"msgs_per_sec":               rep.MsgsPerSec,
-						"lat_p99_ms":                 rep.Latency.P99,
-						"window_received":            float64(rep.WindowReceived),
-						"window_drops":               float64(rep.WindowDrops),
-						"droppable_gaps":             float64(rep.DroppableGaps),
-						"reconnects":                 float64(rep.Reconnects),
-						"gated_reliable_gaps":        float64(rep.Gaps),
-						"gated_pressure_disconnects": float64(rep.WindowDisconnects),
-					},
-				})
-			}
-		})
-	}
 }

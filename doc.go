@@ -26,13 +26,13 @@
 //     internal/websocket, internal/transport, internal/hashing,
 //     internal/backoff, internal/dedup — the wire format, history cache,
 //     batching/conflation, queues, and transports under the engine;
-//   - internal/loadgen and internal/metrics — the paper's Benchpub and
-//     Benchsub tools as a library, plus the measurement machinery.
+//   - internal/loadgen and internal/metrics — the in-process test harness
+//     (Benchpub/Benchsub fleets, scenarios) and the measurement machinery.
 //
 // The documentation set under docs/ maps the code to the paper:
 // docs/ARCHITECTURE.md (layer diagram, pinning rule, package→section
 // table), docs/PROTOCOL.md (byte-level wire format and the (epoch, seq)
 // ordering contract), and docs/BENCHMARKS.md (how to reproduce the
-// evaluation). The benchmark harness regenerating every table and figure
-// is bench_test.go (go test -bench .) and the cmd/bench-* tools.
+// evaluation). Timings come from benchmark/; invariants_test.go holds the
+// counter invariants, bench_test.go the informational paper-shape runs.
 package migratorydata

@@ -75,7 +75,7 @@ func TestDocsPinDurability(t *testing.T) {
 		"## Durable history",
 		"### Segment record layout",
 		"migratorydata_seglog_failed",
-		"BENCH_durability.json",
+		"TestIngestInvariants/durable",
 		"kill-and-resume",
 	} {
 		if !strings.Contains(string(bench), want) {
@@ -86,9 +86,9 @@ func TestDocsPinDurability(t *testing.T) {
 
 // TestDocsPinConnectionPath pins the connection-scale documentation
 // contract: the architecture map describes the event-loop read path (fd
-// ownership rule, fallback build tag) and the benchmark runbook carries
-// the BENCH_c10m.json schema and its baseline-refresh step — code and CI
-// point readers at these by name, so renaming them must fail here.
+// ownership rule, fallback build tag) and the benchmark runbook names the
+// idle-connection test, its scale knob and its bounds — code and CI point
+// readers at these by name, so renaming them must fail here.
 func TestDocsPinConnectionPath(t *testing.T) {
 	arch, err := os.ReadFile("docs/ARCHITECTURE.md")
 	if err != nil {
@@ -108,14 +108,48 @@ func TestDocsPinConnectionPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"BENCH_c10m.json",
-		"max_sustained_conns",
-		"gated_goroutines_per_conn",
-		"gated_bytes_budget_exceeded",
-		"BenchmarkC10MIdleConnections",
+		"TestIdleConnectionFootprint",
+		"C10M_CONNS",
+		"< 0.01 goroutines",
+		"16 KiB",
 	} {
 		if !strings.Contains(string(bench), want) {
 			t.Errorf("docs/BENCHMARKS.md lost %q", want)
+		}
+	}
+}
+
+// TestDocsPinMeasurementStack pins the one-instrument contract: the runbook
+// points at benchmark/ for timings and names every invariant test, and
+// every test it names exists.
+func TestDocsPinMeasurementStack(t *testing.T) {
+	bench, err := os.ReadFile("docs/BENCHMARKS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"bash benchmark/run.sh --workload",
+		"go run ./benchmark -compare",
+		"## Invariants are tests",
+	} {
+		if !strings.Contains(string(bench), want) {
+			t.Errorf("docs/BENCHMARKS.md lost %q", want)
+		}
+	}
+	tests, err := os.ReadFile("invariants_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"TestIngestInvariants", "TestDenseFanoutEventsPerPublish", "TestSparseFanoutWorkerPushes",
+		"TestSlowConsumerIsolation", "TestIdleConnectionFootprint", "TestScenarioLibraryGreen",
+		"TestRawReadPathAllocFree",
+	} {
+		if !strings.Contains(string(bench), "`"+name) {
+			t.Errorf("docs/BENCHMARKS.md does not name %s", name)
+		}
+		if !strings.Contains(string(tests), "func "+name+"(t *testing.T)") {
+			t.Errorf("invariants_test.go has no %s, but the runbook names it", name)
 		}
 	}
 }

@@ -12,12 +12,12 @@
 // Two properties matter for the ingest hot path (see docs/ARCHITECTURE.md,
 // "The ingest path"):
 //
-//   - Every method has a *Group variant taking the topic-group index, so a
-//     caller that already hashed the topic (the sequencer, the cluster
-//     replication paths) never re-hashes it, and AppendNext sequences AND
-//     stores a publication under a single group-lock acquisition. The
+//   - Every per-topic method takes the topic-group index (GroupOf), so a
+//     caller (the sequencer, the cluster replication paths) hashes the
+//     topic once, and AppendNext sequences AND stores a publication under
+//     a single group-lock acquisition. The
 //     write-lock acquisitions of the append paths are counted per group
-//     (MemStats.GroupLockAcquisitions) so benchmarks can assert the
+//     (MemStats.GroupLockAcquisitions) so tests can assert the
 //     one-acquisition-per-publish invariant.
 //
 //   - Per-topic rings grow geometrically from a small initial capacity up
@@ -220,16 +220,10 @@ func (c *Cache) appendLocked(g *group, topic string, e Entry) bool {
 	return true
 }
 
-// Append stores e in topic's history. It returns false (and stores nothing)
+// AppendGroup stores e in topic's history. It returns false (and stores nothing)
 // if e is not ordered strictly after the newest cached entry — replication
 // may legitimately deliver a message twice (§3 allows duplicates), and the
 // cache keeps appends idempotent.
-func (c *Cache) Append(topic string, e Entry) bool {
-	return c.AppendGroup(c.GroupOf(topic), topic, e)
-}
-
-// AppendGroup is Append for callers that already know the topic's group,
-// saving the topic hash.
 func (c *Cache) AppendGroup(gid int, topic string, e Entry) bool {
 	g := c.groupAt(gid, topic)
 	g.mu.Lock()
@@ -254,7 +248,7 @@ func (c *Cache) AppendGroup(gid int, topic string, e Entry) bool {
 //
 // Before this existed, a publish paid three group-lock acquisitions
 // (sequencer lock, Position, Append); AppendNext is the whole critical
-// section, and MemStats.GroupLockAcquisitions lets benchmarks assert the
+// section, and MemStats.GroupLockAcquisitions lets tests assert the
 // exactly-one-acquisition invariant.
 //
 //vet:hotpath
@@ -286,7 +280,7 @@ func (c *Cache) AppendNext(gid int, topic string, e Entry) (Entry, bool) {
 // AppendGroup — replayed records arrive in on-disk order, and duplicates
 // or stale tails are rejected idempotently — but its lock acquisition is
 // NOT counted in GroupLockAcquisitions: that counter is reserved for the
-// publish paths, so the one-lock-per-publish benchmark invariant stays
+// publish paths, so the one-lock-per-publish invariant stays
 // measurable on an engine that booted from a recovered data dir.
 func (c *Cache) RecoverGroup(gid int, topic string, e Entry) bool {
 	g := c.groupAt(gid, topic)
@@ -295,31 +289,20 @@ func (c *Cache) RecoverGroup(gid int, topic string, e Entry) bool {
 	return c.appendLocked(g, topic, e)
 }
 
-// Since returns up to limit entries of topic ordered strictly after
+// SinceGroup returns up to limit entries of topic ordered strictly after
 // (epoch, seq), oldest first. limit <= 0 means no limit. The returned slice
 // is freshly allocated; entries are shared (callers must not mutate
 // payloads).
-func (c *Cache) Since(topic string, epoch uint32, seq uint64, limit int) []Entry {
-	return c.AppendSinceGroup(nil, c.GroupOf(topic), topic, epoch, seq, limit)
-}
-
-// SinceGroup is Since for callers that already know the topic's group.
 func (c *Cache) SinceGroup(gid int, topic string, epoch uint32, seq uint64, limit int) []Entry {
 	return c.AppendSinceGroup(nil, gid, topic, epoch, seq, limit)
 }
 
-// AppendSince appends up to limit entries of topic ordered strictly after
-// (epoch, seq) to dst, oldest first, and returns the extended slice — the
-// allocation-free variant of Since for callers that replay history in a
-// loop (subscribe replay, cluster catch-up): a reused buffer makes a
+// AppendSinceGroup appends up to limit entries of topic ordered strictly
+// after (epoch, seq) to dst, oldest first, and returns the extended slice —
+// the allocation-free variant of SinceGroup for callers that replay history
+// in a loop (subscribe replay, cluster catch-up): a reused buffer makes a
 // reconnect storm cost zero allocations per client instead of one slice
 // each. Entries are shared; callers must not mutate payloads.
-func (c *Cache) AppendSince(dst []Entry, topic string, epoch uint32, seq uint64, limit int) []Entry {
-	return c.AppendSinceGroup(dst, c.GroupOf(topic), topic, epoch, seq, limit)
-}
-
-// AppendSinceGroup is AppendSince for callers that already know the topic's
-// group.
 func (c *Cache) AppendSinceGroup(dst []Entry, gid int, topic string, epoch uint32, seq uint64, limit int) []Entry {
 	g := c.groupAt(gid, topic)
 	g.mu.RLock()
@@ -343,12 +326,7 @@ func (c *Cache) AppendSinceGroup(dst []Entry, gid int, topic string, epoch uint3
 	return dst
 }
 
-// Latest returns the newest entry for topic.
-func (c *Cache) Latest(topic string) (Entry, bool) {
-	return c.LatestGroup(c.GroupOf(topic), topic)
-}
-
-// LatestGroup is Latest for callers that already know the topic's group.
+// LatestGroup returns the newest entry for topic.
 func (c *Cache) LatestGroup(gid int, topic string) (Entry, bool) {
 	g := c.groupAt(gid, topic)
 	g.mu.RLock()
@@ -360,14 +338,8 @@ func (c *Cache) LatestGroup(gid int, topic string) (Entry, bool) {
 	return r.newest(), true
 }
 
-// Position returns the (epoch, seq) of the newest entry for topic, or ok ==
-// false if the topic has no history.
-func (c *Cache) Position(topic string) (epoch uint32, seq uint64, ok bool) {
-	return c.PositionGroup(c.GroupOf(topic), topic)
-}
-
-// PositionGroup is Position for callers that already know the topic's
-// group.
+// PositionGroup returns the (epoch, seq) of the newest entry for topic, or
+// ok == false if the topic has no history.
 func (c *Cache) PositionGroup(gid int, topic string) (epoch uint32, seq uint64, ok bool) {
 	e, ok := c.LatestGroup(gid, topic)
 	if !ok {
@@ -387,15 +359,6 @@ func (c *Cache) TopicsInGroup(gid int) []string {
 	out := make([]string, 0, len(g.topics))
 	for t := range g.topics {
 		out = append(out, t)
-	}
-	return out
-}
-
-// Topics lists every cached topic across all groups.
-func (c *Cache) Topics() []string {
-	var out []string
-	for gid := range c.groups {
-		out = append(out, c.TopicsInGroup(gid)...)
 	}
 	return out
 }
@@ -433,7 +396,7 @@ type MemStats struct {
 	// Appends counts successful appends since construction.
 	Appends int64
 	// GroupLockAcquisitions counts group write-lock acquisitions by the
-	// append paths (Append/AppendGroup/AppendNext). The ingest benchmark
+	// append paths (AppendGroup/AppendNext). The ingest test
 	// asserts its delta equals the publish count — the
 	// one-group-lock-acquisition-per-publish invariant.
 	GroupLockAcquisitions int64

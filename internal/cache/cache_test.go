@@ -7,15 +7,25 @@ import (
 	"testing/quick"
 )
 
+// put and since are the tests' shorthands for the group-keyed API: hash the
+// topic, then call the *Group form, as every production caller does.
+func put(c *Cache, topic string, e Entry) bool {
+	return c.AppendGroup(c.GroupOf(topic), topic, e)
+}
+
+func since(c *Cache, topic string, epoch uint32, seq uint64, limit int) []Entry {
+	return c.SinceGroup(c.GroupOf(topic), topic, epoch, seq, limit)
+}
+
 func TestAppendAndLatest(t *testing.T) {
 	c := New(10, 8)
-	if _, ok := c.Latest("t"); ok {
+	if _, ok := c.LatestGroup(c.GroupOf("t"), "t"); ok {
 		t.Fatal("Latest on empty topic returned ok")
 	}
-	if !c.Append("t", Entry{Epoch: 1, Seq: 1, ID: "a"}) {
+	if !put(c, "t", Entry{Epoch: 1, Seq: 1, ID: "a"}) {
 		t.Fatal("first append rejected")
 	}
-	e, ok := c.Latest("t")
+	e, ok := c.LatestGroup(c.GroupOf("t"), "t")
 	if !ok || e.ID != "a" {
 		t.Fatalf("Latest = %+v, %v", e, ok)
 	}
@@ -23,20 +33,20 @@ func TestAppendAndLatest(t *testing.T) {
 
 func TestAppendRejectsStaleAndDuplicate(t *testing.T) {
 	c := New(10, 8)
-	c.Append("t", Entry{Epoch: 1, Seq: 5})
-	if c.Append("t", Entry{Epoch: 1, Seq: 5}) {
+	put(c, "t", Entry{Epoch: 1, Seq: 5})
+	if put(c, "t", Entry{Epoch: 1, Seq: 5}) {
 		t.Fatal("duplicate (same epoch/seq) accepted")
 	}
-	if c.Append("t", Entry{Epoch: 1, Seq: 4}) {
+	if put(c, "t", Entry{Epoch: 1, Seq: 4}) {
 		t.Fatal("stale seq accepted")
 	}
-	if c.Append("t", Entry{Epoch: 0, Seq: 100}) {
+	if put(c, "t", Entry{Epoch: 0, Seq: 100}) {
 		t.Fatal("stale epoch accepted")
 	}
-	if !c.Append("t", Entry{Epoch: 1, Seq: 6}) {
+	if !put(c, "t", Entry{Epoch: 1, Seq: 6}) {
 		t.Fatal("next seq rejected")
 	}
-	if !c.Append("t", Entry{Epoch: 2, Seq: 1}) {
+	if !put(c, "t", Entry{Epoch: 2, Seq: 1}) {
 		t.Fatal("new epoch with lower seq rejected (epochs order first)")
 	}
 }
@@ -44,9 +54,9 @@ func TestAppendRejectsStaleAndDuplicate(t *testing.T) {
 func TestSinceBasic(t *testing.T) {
 	c := New(10, 16)
 	for i := 1; i <= 10; i++ {
-		c.Append("t", Entry{Epoch: 1, Seq: uint64(i), ID: fmt.Sprint(i)})
+		put(c, "t", Entry{Epoch: 1, Seq: uint64(i), ID: fmt.Sprint(i)})
 	}
-	got := c.Since("t", 1, 4, 0)
+	got := since(c, "t", 1, 4, 0)
 	if len(got) != 6 {
 		t.Fatalf("Since returned %d entries, want 6", len(got))
 	}
@@ -60,9 +70,9 @@ func TestSinceBasic(t *testing.T) {
 func TestSinceLimit(t *testing.T) {
 	c := New(10, 16)
 	for i := 1; i <= 10; i++ {
-		c.Append("t", Entry{Epoch: 1, Seq: uint64(i)})
+		put(c, "t", Entry{Epoch: 1, Seq: uint64(i)})
 	}
-	got := c.Since("t", 0, 0, 3)
+	got := since(c, "t", 0, 0, 3)
 	if len(got) != 3 || got[2].Seq != 3 {
 		t.Fatalf("limited Since = %v", got)
 	}
@@ -70,18 +80,18 @@ func TestSinceLimit(t *testing.T) {
 
 func TestSinceUnknownTopic(t *testing.T) {
 	c := New(10, 16)
-	if got := c.Since("nope", 0, 0, 0); got != nil {
+	if got := since(c, "nope", 0, 0, 0); got != nil {
 		t.Fatalf("Since unknown topic = %v", got)
 	}
 }
 
 func TestSinceAcrossEpochs(t *testing.T) {
 	c := New(10, 16)
-	c.Append("t", Entry{Epoch: 1, Seq: 8})
-	c.Append("t", Entry{Epoch: 1, Seq: 9})
-	c.Append("t", Entry{Epoch: 2, Seq: 1}) // coordinator changed
-	c.Append("t", Entry{Epoch: 2, Seq: 2})
-	got := c.Since("t", 1, 9, 0)
+	put(c, "t", Entry{Epoch: 1, Seq: 8})
+	put(c, "t", Entry{Epoch: 1, Seq: 9})
+	put(c, "t", Entry{Epoch: 2, Seq: 1}) // coordinator changed
+	put(c, "t", Entry{Epoch: 2, Seq: 2})
+	got := since(c, "t", 1, 9, 0)
 	if len(got) != 2 || got[0].Epoch != 2 || got[0].Seq != 1 {
 		t.Fatalf("Since across epochs = %v", got)
 	}
@@ -90,9 +100,9 @@ func TestSinceAcrossEpochs(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	c := New(10, 4)
 	for i := 1; i <= 10; i++ {
-		c.Append("t", Entry{Epoch: 1, Seq: uint64(i)})
+		put(c, "t", Entry{Epoch: 1, Seq: uint64(i)})
 	}
-	got := c.Since("t", 0, 0, 0)
+	got := since(c, "t", 0, 0, 0)
 	if len(got) != 4 {
 		t.Fatalf("ring holds %d entries, want 4", len(got))
 	}
@@ -103,11 +113,11 @@ func TestRingEviction(t *testing.T) {
 
 func TestPosition(t *testing.T) {
 	c := New(10, 8)
-	if _, _, ok := c.Position("t"); ok {
+	if _, _, ok := c.PositionGroup(c.GroupOf("t"), "t"); ok {
 		t.Fatal("Position on empty topic")
 	}
-	c.Append("t", Entry{Epoch: 3, Seq: 77})
-	e, s, ok := c.Position("t")
+	put(c, "t", Entry{Epoch: 3, Seq: 77})
+	e, s, ok := c.PositionGroup(c.GroupOf("t"), "t")
 	if !ok || e != 3 || s != 77 {
 		t.Fatalf("Position = %d %d %v", e, s, ok)
 	}
@@ -117,7 +127,7 @@ func TestGroupOfConsistentWithTopicsInGroup(t *testing.T) {
 	c := New(25, 8)
 	topics := []string{"a", "b", "c", "scores/1", "odds/2"}
 	for _, topic := range topics {
-		c.Append(topic, Entry{Epoch: 1, Seq: 1})
+		put(c, topic, Entry{Epoch: 1, Seq: 1})
 	}
 	for _, topic := range topics {
 		found := false
@@ -138,13 +148,13 @@ func TestGroupOfConsistentWithTopicsInGroup(t *testing.T) {
 	}
 }
 
-func TestTopicsAndLen(t *testing.T) {
+func TestTopicCountAndLen(t *testing.T) {
 	c := New(10, 8)
-	c.Append("a", Entry{Epoch: 1, Seq: 1})
-	c.Append("a", Entry{Epoch: 1, Seq: 2})
-	c.Append("b", Entry{Epoch: 1, Seq: 1})
-	if len(c.Topics()) != 2 {
-		t.Fatalf("Topics = %v", c.Topics())
+	put(c, "a", Entry{Epoch: 1, Seq: 1})
+	put(c, "a", Entry{Epoch: 1, Seq: 2})
+	put(c, "b", Entry{Epoch: 1, Seq: 1})
+	if got := c.MemStats().Topics; got != 2 {
+		t.Fatalf("Topics = %d, want 2", got)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
@@ -168,7 +178,7 @@ func TestPropertySinceReturnsExactlyNewer(t *testing.T) {
 		for _, d := range seqsRaw {
 			seq += uint64(d%5) + 1
 			e := Entry{Epoch: 1, Seq: seq}
-			c.Append("t", e)
+			put(c, "t", e)
 			appended = append(appended, e)
 		}
 		if len(appended) > 64 {
@@ -181,7 +191,7 @@ func TestPropertySinceReturnsExactlyNewer(t *testing.T) {
 				want = append(want, e.Seq)
 			}
 		}
-		got := c.Since("t", 1, query, 0)
+		got := since(c, "t", 1, query, 0)
 		if len(got) != len(want) {
 			return false
 		}
@@ -208,7 +218,7 @@ func TestConcurrentAppendDistinctTopics(t *testing.T) {
 			defer wg.Done()
 			topic := fmt.Sprintf("topic-%d", w)
 			for i := 1; i <= perWriter; i++ {
-				if !c.Append(topic, Entry{Epoch: 1, Seq: uint64(i)}) {
+				if !put(c, topic, Entry{Epoch: 1, Seq: uint64(i)}) {
 					t.Errorf("append rejected for %s seq %d", topic, i)
 					return
 				}
@@ -218,7 +228,7 @@ func TestConcurrentAppendDistinctTopics(t *testing.T) {
 	wg.Wait()
 	for w := 0; w < writers; w++ {
 		topic := fmt.Sprintf("topic-%d", w)
-		if got := len(c.Since(topic, 0, 0, 0)); got != 128 {
+		if got := len(since(c, topic, 0, 0, 0)); got != 128 {
 			t.Fatalf("%s has %d entries, want 128 (ring capacity)", topic, got)
 		}
 	}
@@ -236,7 +246,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				c.Append("t", Entry{Epoch: 1, Seq: uint64(i)})
+				put(c, "t", Entry{Epoch: 1, Seq: uint64(i)})
 			}
 		}
 	}()
@@ -245,7 +255,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		go func() {
 			defer readerWG.Done()
 			for i := 0; i < 500; i++ {
-				entries := c.Since("t", 1, 0, 0)
+				entries := since(c, "t", 1, 0, 0)
 				for j := 1; j < len(entries); j++ {
 					if !entries[j].After(entries[j-1].Epoch, entries[j-1].Seq) {
 						t.Error("Since returned out-of-order entries")
@@ -264,7 +274,7 @@ func BenchmarkAppendSingleTopic(b *testing.B) {
 	c := New(100, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Append("bench", Entry{Epoch: 1, Seq: uint64(i + 1), Payload: nil})
+		put(c, "bench", Entry{Epoch: 1, Seq: uint64(i + 1), Payload: nil})
 	}
 }
 
@@ -282,7 +292,7 @@ func BenchmarkAppendShardedParallel(b *testing.B) {
 		seq := uint64(0)
 		for pb.Next() {
 			seq++
-			c.Append(topic, Entry{Epoch: 1, Seq: seq})
+			put(c, topic, Entry{Epoch: 1, Seq: seq})
 		}
 	})
 }
@@ -301,7 +311,7 @@ func BenchmarkAppendGlobalContention(b *testing.B) {
 		seq := uint64(0)
 		for pb.Next() {
 			seq++
-			c.Append(topic, Entry{Epoch: 1, Seq: seq})
+			put(c, topic, Entry{Epoch: 1, Seq: seq})
 		}
 	})
 }
@@ -309,35 +319,35 @@ func BenchmarkAppendGlobalContention(b *testing.B) {
 func BenchmarkSince(b *testing.B) {
 	c := New(100, 1024)
 	for i := 1; i <= 1024; i++ {
-		c.Append("bench", Entry{Epoch: 1, Seq: uint64(i)})
+		put(c, "bench", Entry{Epoch: 1, Seq: uint64(i)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Since("bench", 1, 1000, 0)
+		since(c, "bench", 1, 1000, 0)
 	}
 }
 
 func TestRingGrowsGeometrically(t *testing.T) {
 	c := New(4, 1024)
 	slots := func() int { return c.MemStats().Slots }
-	c.Append("t", Entry{Epoch: 1, Seq: 1})
+	put(c, "t", Entry{Epoch: 1, Seq: 1})
 	if got := slots(); got != initialRingCapacity {
 		t.Fatalf("slots after first append = %d, want %d", got, initialRingCapacity)
 	}
 	for i := 2; i <= initialRingCapacity+1; i++ {
-		c.Append("t", Entry{Epoch: 1, Seq: uint64(i)})
+		put(c, "t", Entry{Epoch: 1, Seq: uint64(i)})
 	}
 	if got := slots(); got != 2*initialRingCapacity {
 		t.Fatalf("slots after overflow = %d, want %d (doubled)", got, 2*initialRingCapacity)
 	}
 	// Contents survive every growth step up to the cap, in order.
 	for i := initialRingCapacity + 2; i <= 3000; i++ {
-		c.Append("t", Entry{Epoch: 1, Seq: uint64(i)})
+		put(c, "t", Entry{Epoch: 1, Seq: uint64(i)})
 	}
 	if got := slots(); got != 1024 {
 		t.Fatalf("slots at cap = %d, want 1024 (never beyond the per-topic cap)", got)
 	}
-	got := c.Since("t", 0, 0, 0)
+	got := since(c, "t", 0, 0, 0)
 	if len(got) != 1024 {
 		t.Fatalf("ring holds %d entries at cap, want 1024", len(got))
 	}
@@ -354,14 +364,14 @@ func TestRingGrowthPreservesWrappedOrder(t *testing.T) {
 	// past 8, behind a rotated start produced by epoch-ordered overwrites.
 	c := New(4, 16)
 	for i := 1; i <= 8; i++ {
-		c.Append("t", Entry{Epoch: 1, Seq: uint64(i)})
+		put(c, "t", Entry{Epoch: 1, Seq: uint64(i)})
 	}
 	// Ring is exactly full at the initial capacity; the next append grows
 	// with start possibly rotated. Then fill past 16 so it wraps at cap.
 	for i := 9; i <= 40; i++ {
-		c.Append("t", Entry{Epoch: 1, Seq: uint64(i)})
+		put(c, "t", Entry{Epoch: 1, Seq: uint64(i)})
 	}
-	got := c.Since("t", 0, 0, 0)
+	got := since(c, "t", 0, 0, 0)
 	if len(got) != 16 {
 		t.Fatalf("len = %d, want 16", len(got))
 	}
@@ -393,7 +403,7 @@ func TestAppendNextSequences(t *testing.T) {
 	if _, ok := c.AppendNext(g, "t", Entry{Epoch: 2, ID: "d"}); ok {
 		t.Fatal("AppendNext with stale epoch succeeded")
 	}
-	if got := len(c.Since("t", 0, 0, 0)); got != 3 {
+	if got := len(since(c, "t", 0, 0, 0)); got != 3 {
 		t.Fatalf("cache holds %d entries, want 3 (stale append stored nothing)", got)
 	}
 	// The ignored e.Seq must not leak through.
@@ -430,7 +440,7 @@ func TestAppendNextConcurrentDenseSeqs(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	entries := c.Since("t", 0, 0, 0)
+	entries := since(c, "t", 0, 0, 0)
 	if len(entries) != writers*per {
 		t.Fatalf("cache holds %d entries, want %d", len(entries), writers*per)
 	}
@@ -441,7 +451,7 @@ func TestAppendNextConcurrentDenseSeqs(t *testing.T) {
 	}
 }
 
-func TestGroupVariantsMatchTopicVariants(t *testing.T) {
+func TestGroupVariantsFallBackOnBadGroup(t *testing.T) {
 	c := New(25, 8)
 	g := c.GroupOf("t")
 	if !c.AppendGroup(g, "t", Entry{Epoch: 1, Seq: 1, ID: "x"}) {
@@ -470,11 +480,12 @@ func TestGroupVariantsMatchTopicVariants(t *testing.T) {
 
 func TestAppendSinceReusesBuffer(t *testing.T) {
 	c := New(10, 64)
+	g := c.GroupOf("t")
 	for i := 1; i <= 20; i++ {
-		c.Append("t", Entry{Epoch: 1, Seq: uint64(i)})
+		put(c, "t", Entry{Epoch: 1, Seq: uint64(i)})
 	}
 	buf := make([]Entry, 0, 64)
-	got := c.AppendSince(buf, "t", 1, 10, 0)
+	got := c.AppendSinceGroup(buf, g, "t", 1, 10, 0)
 	if len(got) != 10 || got[0].Seq != 11 {
 		t.Fatalf("AppendSince = %d entries starting %d", len(got), got[0].Seq)
 	}
@@ -482,13 +493,13 @@ func TestAppendSinceReusesBuffer(t *testing.T) {
 		t.Fatal("AppendSince did not use the caller's buffer")
 	}
 	// Limit applies to entries appended, not to the total length of dst.
-	got = c.AppendSince(got[:3], "t", 1, 0, 5)
+	got = c.AppendSinceGroup(got[:3], g, "t", 1, 0, 5)
 	if len(got) != 8 {
 		t.Fatalf("AppendSince with prefix+limit returned %d entries, want 3+5", len(got))
 	}
 	// Steady-state replay with a warm buffer allocates nothing.
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = c.AppendSince(buf[:0], "t", 1, 0, 0)
+		buf = c.AppendSinceGroup(buf[:0], g, "t", 1, 0, 0)
 	})
 	if allocs > 0 {
 		t.Errorf("AppendSince with a warm buffer allocates %.1f objects/op, want 0", allocs)
@@ -501,9 +512,9 @@ func TestMemStatsGauges(t *testing.T) {
 	if ms.Topics != 0 || ms.Entries != 0 || ms.Slots != 0 || ms.Bytes() != 0 {
 		t.Fatalf("empty cache MemStats = %+v", ms)
 	}
-	c.Append("a", Entry{Epoch: 1, Seq: 1, Payload: make([]byte, 100)})
-	c.Append("a", Entry{Epoch: 1, Seq: 2, Payload: make([]byte, 40)})
-	c.Append("b", Entry{Epoch: 1, Seq: 1})
+	put(c, "a", Entry{Epoch: 1, Seq: 1, Payload: make([]byte, 100)})
+	put(c, "a", Entry{Epoch: 1, Seq: 2, Payload: make([]byte, 40)})
+	put(c, "b", Entry{Epoch: 1, Seq: 1})
 	ms = c.MemStats()
 	if ms.Topics != 2 || ms.Entries != 3 || ms.Slots != 2*initialRingCapacity {
 		t.Fatalf("MemStats = %+v", ms)
@@ -525,10 +536,10 @@ func TestGroupLockAcquisitionsCountsAppendPaths(t *testing.T) {
 	before := c.MemStats().GroupLockAcquisitions
 	c.AppendNext(g, "t", Entry{Epoch: 1})           // 1
 	c.AppendNext(g, "t", Entry{Epoch: 1})           // 2
-	c.Append("t", Entry{Epoch: 1, Seq: 99})         // 3
+	put(c, "t", Entry{Epoch: 1, Seq: 99})           // 3
 	c.AppendGroup(g, "t", Entry{Epoch: 1, Seq: 50}) // 4 (rejected, still one acquisition)
-	c.Since("t", 0, 0, 0)                           // read path: not counted
-	c.Position("t")                                 // read path: not counted
+	since(c, "t", 0, 0, 0)                          // read path: not counted
+	c.PositionGroup(c.GroupOf("t"), "t")            // read path: not counted
 	if got := c.MemStats().GroupLockAcquisitions - before; got != 4 {
 		t.Fatalf("GroupLockAcquisitions delta = %d, want 4", got)
 	}
@@ -542,7 +553,7 @@ func TestColdTopicsMemoryProportional(t *testing.T) {
 	const topics = 100_000
 	c := New(DefaultTopicGroups, DefaultPerTopicCapacity)
 	for i := 0; i < topics; i++ {
-		c.Append(fmt.Sprintf("cold-%d", i), Entry{Epoch: 1, Seq: 1})
+		put(c, fmt.Sprintf("cold-%d", i), Entry{Epoch: 1, Seq: 1})
 	}
 	ms := c.MemStats()
 	if ms.Topics != topics || ms.Entries != topics {
@@ -570,13 +581,13 @@ func TestMemStatsIncrementalMatchesWalk(t *testing.T) {
 	// Topic "hot" runs past the cap (evictions with varying payload
 	// sizes), "warm" grows once, "cold" stays at the initial capacity.
 	for i := 1; i <= 50; i++ {
-		c.Append("hot", Entry{Epoch: 1, Seq: uint64(i), Payload: make([]byte, i%7)})
+		put(c, "hot", Entry{Epoch: 1, Seq: uint64(i), Payload: make([]byte, i%7)})
 	}
 	for i := 1; i <= 10; i++ {
-		c.Append("warm", Entry{Epoch: 1, Seq: uint64(i), Payload: make([]byte, 3)})
+		put(c, "warm", Entry{Epoch: 1, Seq: uint64(i), Payload: make([]byte, 3)})
 	}
-	c.Append("cold", Entry{Epoch: 1, Seq: 1})
-	c.Append("cold", Entry{Epoch: 1, Seq: 1}) // duplicate: rejected, no gauge change
+	put(c, "cold", Entry{Epoch: 1, Seq: 1})
+	put(c, "cold", Entry{Epoch: 1, Seq: 1}) // duplicate: rejected, no gauge change
 	g := c.GroupOf("cold")
 	c.AppendNext(g, "cold", Entry{Epoch: 1, Payload: make([]byte, 9)})
 
@@ -605,7 +616,7 @@ func TestMemStatsIncrementalMatchesWalk(t *testing.T) {
 
 // TestRecoverGroupKeepsLockCounterPure: recovery loads enforce ordering
 // like the publish appends but leave GroupLockAcquisitions untouched, so
-// the ingest benchmark's one-lock-per-publish invariant survives a boot
+// the one-lock-per-publish invariant (TestIngestInvariants) survives a boot
 // from a recovered data dir.
 func TestRecoverGroupKeepsLockCounterPure(t *testing.T) {
 	c := New(4, 8)

@@ -42,6 +42,10 @@ type Bus struct {
 	mu       sync.Mutex
 	inboxes  map[string]*queue.MPSC[PeerFrame]
 	isolated map[string]bool
+
+	// sendHook, when set (tests, before any member registers), sees every
+	// deliverable frame inside Send and reports whether it consumed it.
+	sendHook func(from, to string, m *protocol.Message) bool
 }
 
 // NewBus returns an empty bus.
@@ -85,6 +89,9 @@ func (b *Bus) Send(from, to string, m *protocol.Message) bool {
 	b.mu.Unlock()
 	if inbox == nil || blocked {
 		return false
+	}
+	if b.sendHook != nil && b.sendHook(from, to, m) {
+		return true
 	}
 	inbox.Push(PeerFrame{From: from, Msg: m})
 	return true

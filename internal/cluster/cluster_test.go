@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"migratorydata/internal/cache"
 	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
 	"migratorydata/internal/protocol"
@@ -23,7 +24,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
-	bus := NewBus()
+	return newTestClusterOn(t, n, NewBus())
+}
+
+// newTestClusterOn is newTestCluster over a caller-prepared bus (a send
+// hook must be installed before the members start talking).
+func newTestClusterOn(t *testing.T, n int, bus *Bus) *testCluster {
+	t.Helper()
 	mesh := consensus.NewMesh()
 	ids := make([]string, n)
 	for i := range ids {
@@ -53,6 +60,12 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 	})
 	tc.waitQuorum()
 	return tc
+}
+
+// history returns every entry n caches for topic, oldest first.
+func history(n *Node, topic string) []cache.Entry {
+	c := n.Engine().Cache()
+	return c.SinceGroup(c.GroupOf(topic), topic, 0, 0, 0)
 }
 
 func (tc *testCluster) waitQuorum() {
@@ -296,16 +309,16 @@ func TestClusterAllCachesConverge(t *testing.T) {
 	}
 	waitCond(t, 3*time.Second, func() bool {
 		for _, n := range tc.nodes {
-			if len(n.Engine().Cache().Since("conv", 0, 0, 0)) != msgs {
+			if len(history(n, "conv")) != msgs {
 				return false
 			}
 		}
 		return true
 	})
 	// Entry-by-entry equality across all three caches.
-	ref := tc.nodes[0].Engine().Cache().Since("conv", 0, 0, 0)
+	ref := history(tc.nodes[0], "conv")
 	for ni := 1; ni < 3; ni++ {
-		got := tc.nodes[ni].Engine().Cache().Since("conv", 0, 0, 0)
+		got := history(tc.nodes[ni], "conv")
 		for i := range ref {
 			if got[i].Epoch != ref[i].Epoch || got[i].Seq != ref[i].Seq || got[i].ID != ref[i].ID {
 				t.Fatalf("node %d cache diverges at %d: %+v vs %+v", ni, i, got[i], ref[i])
@@ -416,7 +429,7 @@ func TestClusterPartitionHealRecoversCache(t *testing.T) {
 	pub := attachTo(t, tc.nodes[0])
 	pub.publishReliable("heal-topic", []byte("missed-1"))
 	pub.publishReliable("heal-topic", []byte("missed-2"))
-	if got := len(victim.Engine().Cache().Since("heal-topic", 0, 0, 0)); got != 0 {
+	if got := len(history(victim, "heal-topic")); got != 0 {
 		t.Fatalf("victim cache has %d entries while partitioned", got)
 	}
 
@@ -425,7 +438,7 @@ func TestClusterPartitionHealRecoversCache(t *testing.T) {
 	tc.mesh.SetPartitioned(victim.ID(), false)
 	waitCond(t, 10*time.Second, func() bool {
 		return !victim.Fenced() &&
-			len(victim.Engine().Cache().Since("heal-topic", 0, 0, 0)) == 2
+			len(history(victim, "heal-topic")) == 2
 	})
 }
 
@@ -451,7 +464,7 @@ func TestClusterCrashRestartRecover(t *testing.T) {
 	}, tc.bus, tc.mesh)
 	defer fresh.Stop()
 	fresh.Recover()
-	got := fresh.Engine().Cache().Since("restart-topic", 0, 0, 0)
+	got := history(fresh, "restart-topic")
 	if len(got) != 2 || string(got[0].Payload) != "a" || string(got[1].Payload) != "b" {
 		t.Fatalf("recovered cache = %v", got)
 	}
@@ -521,7 +534,7 @@ func TestLocalDeliveriesCountsOnlySubscriberNodes(t *testing.T) {
 	// group stale — it still must not have enqueued any deliver event.
 	g := int32(tc.nodes[2].Engine().Cache().GroupOf("ld-topic"))
 	waitCond(t, 2*time.Second, func() bool {
-		if len(tc.nodes[2].Engine().Cache().Since("ld-topic", 0, 0, 0)) == 1 {
+		if len(history(tc.nodes[2], "ld-topic")) == 1 {
 			return true
 		}
 		tc.nodes[2].mu.Lock()

@@ -61,7 +61,7 @@ func TestInterestSuppressedBacklogRecoveredOnSubscribe(t *testing.T) {
 	waitCond(t, 3*time.Second, func() bool {
 		stale, full := 0, 0
 		for i, n := range tc.nodes {
-			switch got := len(n.Engine().Cache().Since(topic, 0, 0, 0)); {
+			switch got := len(history(n, topic)); {
 			case got == total:
 				full++
 			default:
@@ -71,7 +71,7 @@ func TestInterestSuppressedBacklogRecoveredOnSubscribe(t *testing.T) {
 		}
 		return full == 2 && stale == 1
 	})
-	if got := len(tc.nodes[staleIdx].Engine().Cache().Since(topic, 0, 0, 0)); got >= total {
+	if got := len(history(tc.nodes[staleIdx], topic)); got >= total {
 		t.Fatalf("stale member holds %d of %d entries; suppression did not bite", got, total)
 	}
 
@@ -99,7 +99,7 @@ func TestInterestSuppressedBacklogRecoveredOnSubscribe(t *testing.T) {
 
 	// The member is whole again: its cache converged to the full history.
 	waitCond(t, 2*time.Second, func() bool {
-		return len(tc.nodes[staleIdx].Engine().Cache().Since(topic, 0, 0, 0)) == total
+		return len(history(tc.nodes[staleIdx], topic)) == total
 	})
 }
 
@@ -162,7 +162,7 @@ func TestInterestUnsubscribeStopsPayloads(t *testing.T) {
 	}
 
 	// From here on node 2 receives no payloads and enqueues no deliveries.
-	cacheLen := len(tc.nodes[2].Engine().Cache().Since(topic, 0, 0, 0))
+	cacheLen := len(history(tc.nodes[2], topic))
 	deliveries := tc.nodes[2].Stats().LocalDeliveries
 	suppressedBefore := totalSuppressed(tc)
 	const extra = 3
@@ -172,7 +172,7 @@ func TestInterestUnsubscribeStopsPayloads(t *testing.T) {
 	if got := totalSuppressed(tc); got < suppressedBefore+extra {
 		t.Fatalf("suppressed = %d, want >= %d", got, suppressedBefore+extra)
 	}
-	if got := len(tc.nodes[2].Engine().Cache().Since(topic, 0, 0, 0)); got != cacheLen {
+	if got := len(history(tc.nodes[2], topic)); got != cacheLen {
 		t.Fatalf("unsubscribed member's cache grew from %d to %d entries", cacheLen, got)
 	}
 	if got := tc.nodes[2].Stats().LocalDeliveries; got != deliveries {
@@ -194,7 +194,7 @@ func TestInterestStaleSuppressionRepairedByMeta(t *testing.T) {
 	staleIdx := -1
 	waitCond(t, 3*time.Second, func() bool {
 		for i, n := range tc.nodes {
-			if len(n.Engine().Cache().Since(topic, 0, 0, 0)) < total {
+			if len(history(n, topic)) < total {
 				staleIdx = i
 				return true
 			}
@@ -263,7 +263,7 @@ func TestApplyReplicateStaleGroupSemantics(t *testing.T) {
 	if !apply("t-hist", 1, 2, false) {
 		t.Fatal("duplicate must be dropped as applied")
 	}
-	if got := len(n.engine.Cache().Since("t-hist", 0, 0, 0)); got != 2 {
+	if got := len(history(n, "t-hist")); got != 2 {
 		t.Fatalf("cache holds %d entries, want 2", got)
 	}
 }

@@ -68,7 +68,7 @@ func TestPartitionedCoordinatorGroupsTakenOver(t *testing.T) {
 		if victim.Fenced() {
 			return false
 		}
-		entries := victim.Engine().Cache().Since(topic, 0, 0, 0)
+		entries := history(victim, topic)
 		return len(entries) == 2 && string(entries[1].Payload) == "after-partition"
 	})
 }

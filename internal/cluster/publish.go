@@ -175,6 +175,29 @@ func (n *Node) sequenceAndReplicate(g int32, epoch uint32, from *core.Client, co
 		payloadTo = append(payloadTo, metaTo[metaStart])
 		metaStart++
 	}
+	// Register the ack expectation BEFORE the first send: replica acks are
+	// handled on the inbox goroutine and can arrive before this function
+	// returns, and an ack that finds no entry is dropped — the delivered
+	// publish would be refused at OpTimeout.
+	var pending *pendingPub
+	if m.Flags&protocol.FlagAckRequired != 0 {
+		switch {
+		case from != nil:
+			pending = &pendingPub{client: from}
+		case contact != "" && n.cfg.AckCopies > 2:
+			// Degree > 2: the contact's copy plus the coordinator's are not
+			// enough; track replica acks and notify the contact explicitly.
+			pending = &pendingPub{contact: contact, epoch: epoch, seq: seq}
+		}
+	}
+	if pending != nil {
+		pending.msgID = m.ID
+		pending.added = time.Now()
+		pending.remaining = needed
+		n.mu.Lock()
+		n.pendingAck[pendingKey(m.Topic, m.ID)] = pending
+		n.mu.Unlock()
+	}
 	sent := 0
 	for i := 0; i < len(payloadTo); i++ {
 		if n.bus.Send(n.id, payloadTo[i], rep) {
@@ -210,46 +233,28 @@ func (n *Node) sequenceAndReplicate(g int32, epoch uint32, from *core.Client, co
 	lock.Unlock()
 	n.stats.replicated.Inc()
 
-	if m.Flags&protocol.FlagAckRequired == 0 {
+	if pending == nil || sent >= needed {
 		return
 	}
+	// Not enough reachable replicas for the configured durability.
+	n.mu.Lock()
+	delete(n.pendingAck, pendingKey(m.Topic, m.ID))
+	n.mu.Unlock()
 	switch {
-	case from != nil:
-		if sent < needed {
-			// Not enough reachable replicas for the configured durability.
-			// A one-node deployment degrades to single-copy durability and
-			// acks immediately; otherwise fail so the publisher retries.
-			if len(n.cfg.Peers) == 1 {
-				from.Send(&protocol.Message{
-					Kind: protocol.KindPubAck, ID: m.ID,
-					Epoch: epoch, Seq: seq, Status: protocol.StatusOK,
-				})
-			} else {
-				n.nack(from, m.ID)
-			}
-			return
-		}
-		n.mu.Lock()
-		n.pendingAck[pendingKey(m.Topic, m.ID)] = &pendingPub{
-			client: from, msgID: m.ID, added: time.Now(), remaining: needed,
-		}
-		n.mu.Unlock()
-	case contact != "" && n.cfg.AckCopies > 2:
-		// Degree > 2: the contact's copy plus the coordinator's are not
-		// enough; track replica acks and notify the contact explicitly.
-		if sent < needed {
-			n.bus.Send(n.id, contact, &protocol.Message{
-				Kind: protocol.KindForwardFail, ClientID: n.id,
-				Topic: m.Topic, ID: m.ID, Group: g,
-			})
-			return
-		}
-		n.mu.Lock()
-		n.pendingAck[pendingKey(m.Topic, m.ID)] = &pendingPub{
-			msgID: m.ID, added: time.Now(), remaining: needed,
-			contact: contact, epoch: epoch, seq: seq,
-		}
-		n.mu.Unlock()
+	case from == nil:
+		n.bus.Send(n.id, contact, &protocol.Message{
+			Kind: protocol.KindForwardFail, ClientID: n.id,
+			Topic: m.Topic, ID: m.ID, Group: g,
+		})
+	case len(n.cfg.Peers) == 1:
+		// A one-node deployment degrades to single-copy durability and
+		// acks immediately.
+		from.Send(&protocol.Message{
+			Kind: protocol.KindPubAck, ID: m.ID,
+			Epoch: epoch, Seq: seq, Status: protocol.StatusOK,
+		})
+	default:
+		n.nack(from, m.ID) // the publisher retries
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,7 +57,7 @@ func TestReplicationDegree3Ack(t *testing.T) {
 	// Every node's cache must hold all four messages.
 	waitCond(t, 3*time.Second, func() bool {
 		for _, n := range tc.nodes {
-			if len(n.Engine().Cache().Since("deg3-topic", 0, 0, 0)) != 4 {
+			if len(history(n, "deg3-topic")) != 4 {
 				return false
 			}
 		}
@@ -76,7 +77,7 @@ func TestReplicationDegree3SurvivesTwoFaults(t *testing.T) {
 	waitCond(t, 3*time.Second, func() bool {
 		count := 0
 		for _, n := range tc.nodes {
-			if len(n.Engine().Cache().Since("two-faults", 0, 0, 0)) == 1 {
+			if len(history(n, "two-faults")) == 1 {
 				count++
 			}
 		}
@@ -152,7 +153,7 @@ func TestCacheRequestSpecificGroup(t *testing.T) {
 	pub.publishReliable("group-req-topic", []byte("v1"))
 	g := int32(tc.nodes[0].Engine().Cache().GroupOf("group-req-topic"))
 	waitCond(t, 2*time.Second, func() bool {
-		return len(tc.nodes[1].Engine().Cache().Since("group-req-topic", 0, 0, 0)) == 1
+		return len(history(tc.nodes[1], "group-req-topic")) == 1
 	})
 
 	// A fresh node catches up just that group.
@@ -166,7 +167,65 @@ func TestCacheRequestSpecificGroup(t *testing.T) {
 	}, tc.bus, tc.mesh)
 	defer fresh.Stop()
 	fresh.catchupGroup(g)
-	if got := len(fresh.Engine().Cache().Since("group-req-topic", 0, 0, 0)); got != 1 {
+	if got := len(history(fresh, "group-req-topic")); got != 1 {
 		t.Fatalf("group catch-up recovered %d entries, want 1", got)
+	}
+}
+
+// TestReplicaAckBeforeBroadcastReturns is the regression test for the
+// pendingAck registration order: a replica's ack that reaches the
+// coordinator while sequenceAndReplicate is still inside its first
+// bus.Send must find the ack expectation already registered. The send hook
+// delivers the ack synchronously inside Send (and swallows the replica's
+// own later ack), so with the expectation registered after the broadcast
+// the delivered publish is refused at OpTimeout instead of acknowledged.
+func TestReplicaAckBeforeBroadcastReturns(t *testing.T) {
+	const topic = "ack-race"
+	var coordinator atomic.Pointer[Node]
+	bus := NewBus()
+	bus.sendHook = func(from, to string, m *protocol.Message) bool {
+		c := coordinator.Load()
+		switch {
+		case c == nil:
+		case m.Kind == protocol.KindReplicate && from == c.id:
+			c.handleReplicateAck(&protocol.Message{
+				Kind: protocol.KindReplicateAck, ClientID: to,
+				Topic: m.Topic, ID: m.ID, Epoch: m.Epoch, Seq: m.Seq, Group: m.Group,
+			})
+		case m.Kind == protocol.KindReplicateAck && to == c.id:
+			return true // already delivered, synchronously, above
+		}
+		return false
+	}
+	tc := newTestClusterOn(t, 3, bus)
+
+	// Elect the topic's coordinator, then publish from one of ITS clients:
+	// the local-publisher path is the one that waits on pendingAck.
+	attachTo(t, tc.nodes[0]).publishReliable(topic, []byte("elect"))
+	g := int32(tc.nodes[0].Engine().Cache().GroupOf(topic))
+	var owner *Node
+	for _, n := range tc.nodes {
+		n.mu.Lock()
+		if _, mine := n.coordinated[g]; mine {
+			owner = n
+		}
+		n.mu.Unlock()
+	}
+	if owner == nil {
+		t.Fatal("no coordinator after the first acknowledged publish")
+	}
+	pub := attachTo(t, owner)
+	coordinator.Store(owner)
+	defer coordinator.Store(nil)
+
+	if err := pub.send(&protocol.Message{
+		Kind: protocol.KindPublish, Topic: topic, ID: "raced",
+		Payload: []byte("x"), Flags: protocol.FlagAckRequired,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ack := pub.expectKind(protocol.KindPubAck, 5*time.Second)
+	if ack.ID != "raced" || ack.Status != protocol.StatusOK {
+		t.Fatalf("publish replicated and acked by a replica was answered %+v, want StatusOK", ack)
 	}
 }

@@ -39,10 +39,6 @@ type Client struct {
 	backlog   *queue.Bounded[[]byte]
 	lastProbe time.Time
 
-	// stall is the framing's StallWriter when it has one and overload
-	// protection is on (cached to avoid a type assertion per write).
-	stall StallWriter
-
 	// poll is the IoThread poll loop this connection's fd is registered
 	// with, nil on the fallback reader-goroutine path. Atomic because a
 	// teardown racing Attach may read it before registration completes.

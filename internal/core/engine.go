@@ -58,17 +58,6 @@ type Config struct {
 	// 0 selects the default (8192); negative leaves the event axis
 	// unbounded (bytes still bound).
 	EgressBudgetEvents int
-	// WriteStallTimeout bounds one transport write under overload
-	// protection: a write that cannot complete within it diverts the
-	// remainder into the framing's carry buffer instead of blocking the
-	// IoThread. 0 selects the default (2ms).
-	WriteStallTimeout time.Duration
-	// StallRetryEvery is the cadence of retry flushes for stalled clients.
-	// 0 selects the default (10ms).
-	StallRetryEvery time.Duration
-	// StallProbe bounds one retry-flush write attempt against a stalled
-	// transport. 0 selects the default (500µs).
-	StallProbe time.Duration
 	// Pressure maps egress budget usage to the overload tier; zero value
 	// selects the default thresholds (0.5 / 0.8 / 1.0).
 	Pressure PressurePolicy
@@ -151,15 +140,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.EgressBudgetEvents == 0 {
 		cfg.EgressBudgetEvents = 8192
-	}
-	if cfg.WriteStallTimeout <= 0 {
-		cfg.WriteStallTimeout = 2 * time.Millisecond
-	}
-	if cfg.StallRetryEvery <= 0 {
-		cfg.StallRetryEvery = 10 * time.Millisecond
-	}
-	if cfg.StallProbe <= 0 {
-		cfg.StallProbe = 500 * time.Microsecond
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -417,12 +397,8 @@ func (e *Engine) Attach(framed Framed) (*Client, error) {
 	c.worker = e.workers[pinIndex(framed.RemoteAddr(), id, len(e.workers))]
 	if e.protect {
 		// Stall-aware writes keep one slow consumer from blocking its
-		// IoThread; framings without stall support keep legacy blocking
-		// writes (budget accounting still applies).
-		if sw, ok := framed.(StallWriter); ok {
-			sw.SetWriteStall(e.cfg.WriteStallTimeout)
-			c.stall = sw
-		}
+		// IoThread.
+		framed.SetWriteStall(writeStallTimeout)
 	}
 	// Decoded messages and their payloads ride pooled memory; the worker
 	// releases or detaches them per message kind (see handleClientMsg), so

@@ -52,25 +52,15 @@ type Framed interface {
 	Close() error
 	// RemoteAddr names the peer, used for IoThread/Worker pinning.
 	RemoteAddr() string
-}
 
-// RecycleReadChunk returns a chunk obtained from Framed.ReadChunk to the
-// buffer pool. The IoThread calls it once the chunk has been fed to the
-// client's decoder; chunks that never reach an IoThread (push on a closed
-// queue) are recycled by the reader. Safe on any chunk: buffers the pool
-// does not recognize are simply left to the GC.
-func RecycleReadChunk(chunk []byte) {
-	bufpool.Put(chunk)
-}
+	// The stall-aware write side behind overload protection
+	// (docs/ARCHITECTURE.md, "The overload path"). With a stall bound set,
+	// a WriteBatch blocks at most that long; wire bytes that did not fit
+	// are retained internally (wire-exact, order preserved) and drained by
+	// FlushStalled — so one client that stops reading can never stall the
+	// IoThread that owns it. With protection off SetWriteStall is never
+	// called and StalledBytes stays 0.
 
-// StallWriter is the optional Framed extension behind overload protection
-// (docs/ARCHITECTURE.md, "The overload path"). With a stall bound set, a
-// WriteBatch blocks at most that long; wire bytes that did not fit are
-// retained internally (wire-exact, order preserved) and drained by
-// FlushStalled — so one client that stops reading can never stall the
-// IoThread that owns it. Both built-in framings implement it; a Framed that
-// does not simply keeps the legacy blocking behavior.
-type StallWriter interface {
 	// SetWriteStall bounds one transport write. d <= 0 restores blocking
 	// writes with the default long timeout.
 	SetWriteStall(d time.Duration)
@@ -83,6 +73,33 @@ type StallWriter interface {
 	// engine's ledger reconciliation depends on this). A still-full peer
 	// is not an error; transport failures are.
 	FlushStalled(probe time.Duration) (int64, error)
+
+	// The readiness read path: the epoll/kqueue replacement for the
+	// per-connection reader goroutine (docs/ARCHITECTURE.md, "The
+	// connection path"). A transport with a raw connection is registered
+	// with its IoThread's poll loop at Attach; ReadReady then runs on that
+	// loop whenever the kernel reports the socket readable.
+
+	// PollConn returns the transport's raw (fd-backed) connection, or
+	// false when there is none (in-process pipes use the fallback reader
+	// goroutine).
+	PollConn() (syscall.RawConn, bool)
+	// ReadReady consumes at most one transport read's worth of bytes
+	// without blocking, emitting zero or more pool-backed chunks of
+	// protocol bytes; ownership of each chunk passes to emit. A spurious
+	// wakeup (EAGAIN) emits nothing and returns nil. io.EOF or any
+	// transport/framing error is terminal: the caller tears the
+	// connection down.
+	ReadReady(emit func(chunk []byte)) error
+}
+
+// RecycleReadChunk returns a chunk obtained from Framed.ReadChunk to the
+// buffer pool. The IoThread calls it once the chunk has been fed to the
+// client's decoder; chunks that never reach an IoThread (push on a closed
+// queue) are recycled by the reader. Safe on any chunk: buffers the pool
+// does not recognize are simply left to the GC.
+func RecycleReadChunk(chunk []byte) {
+	bufpool.Put(chunk)
 }
 
 // rawFramed carries protocol frames directly on a net.Conn.
@@ -93,9 +110,9 @@ type rawFramed struct {
 	// path (set before registration, read-only afterwards).
 	rc syscall.RawConn
 
-	// Stall-aware write state (see StallWriter). Only the owning IoThread
-	// writes, so carry needs no lock; carried mirrors its length for
-	// lock-free readers (Workers computing pressure tiers).
+	// Stall-aware write state (see Framed.SetWriteStall). Only the owning
+	// IoThread writes, so carry needs no lock; carried mirrors its length
+	// for lock-free readers (Workers computing pressure tiers).
 	stall   time.Duration
 	carry   []byte
 	carried atomic.Int64
@@ -145,13 +162,13 @@ func (r *rawFramed) WriteBatch(batch []byte) error {
 	return err
 }
 
-// SetWriteStall implements StallWriter.
+// SetWriteStall implements Framed.
 func (r *rawFramed) SetWriteStall(d time.Duration) { r.stall = d }
 
-// StalledBytes implements StallWriter.
+// StalledBytes implements Framed.
 func (r *rawFramed) StalledBytes() int64 { return r.carried.Load() }
 
-// FlushStalled implements StallWriter.
+// FlushStalled implements Framed.
 func (r *rawFramed) FlushStalled(probe time.Duration) (int64, error) {
 	if len(r.carry) == 0 {
 		return 0, nil
@@ -181,7 +198,7 @@ func (r *rawFramed) Close() error { return r.conn.Close() }
 // RemoteAddr implements Framed.
 func (r *rawFramed) RemoteAddr() string { return r.conn.RemoteAddr().String() }
 
-// PollConn implements PollFramed.
+// PollConn implements Framed.
 func (r *rawFramed) PollConn() (syscall.RawConn, bool) {
 	if r.rc == nil {
 		sc, ok := r.conn.(syscall.Conn)
@@ -197,7 +214,7 @@ func (r *rawFramed) PollConn() (syscall.RawConn, bool) {
 	return r.rc, true
 }
 
-// ReadReady implements PollFramed: one non-blocking read straight into a
+// ReadReady implements Framed: one non-blocking read straight into a
 // pooled chunk — the readiness-path twin of ReadChunk.
 //
 //vet:hotpath
@@ -255,17 +272,17 @@ func (w *wsFramed) WriteBatch(batch []byte) error {
 	return w.ws.WriteMessage(websocket.OpBinary, batch)
 }
 
-// SetWriteStall implements StallWriter (the websocket layer owns the carry,
+// SetWriteStall implements Framed (the websocket layer owns the carry,
 // since control frames written from the read loop share the same wire).
 func (w *wsFramed) SetWriteStall(d time.Duration) {
 	w.stalling = d > 0
 	w.ws.SetWriteStall(d)
 }
 
-// StalledBytes implements StallWriter.
+// StalledBytes implements Framed.
 func (w *wsFramed) StalledBytes() int64 { return w.ws.StalledBytes() }
 
-// FlushStalled implements StallWriter.
+// FlushStalled implements Framed.
 func (w *wsFramed) FlushStalled(probe time.Duration) (int64, error) { return w.ws.FlushStalled(probe) }
 
 // Close implements Framed.
@@ -274,7 +291,7 @@ func (w *wsFramed) Close() error { return w.ws.Close() }
 // RemoteAddr implements Framed.
 func (w *wsFramed) RemoteAddr() string { return w.ws.NetConn().RemoteAddr().String() }
 
-// PollConn implements PollFramed.
+// PollConn implements Framed.
 func (w *wsFramed) PollConn() (syscall.RawConn, bool) {
 	if w.rc == nil {
 		sc, ok := w.ws.NetConn().(syscall.Conn)
@@ -290,7 +307,7 @@ func (w *wsFramed) PollConn() (syscall.RawConn, bool) {
 	return w.rc, true
 }
 
-// ReadReady implements PollFramed: one non-blocking socket read pushed
+// ReadReady implements Framed: one non-blocking socket read pushed
 // through the incremental WebSocket deframer, which emits the contained
 // protocol bytes as pooled chunks. A frame split across wakeups picks up
 // exactly where the previous wakeup left off (the StreamReader holds the

@@ -294,15 +294,15 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 // delivery path. A transport with no carried bytes is free — only the
 // backlog's FIFO ordering blocks the fast path — so it drains inline at
 // wire speed (the recovery a fast reader needs after a momentary hiccup).
-// A still-carried transport is probed at most once per StallRetryEvery per
+// A still-carried transport is probed at most once per stallRetryEvery per
 // client AND behind a thread-wide probe-rate limit (one blocking probe per
-// 2 × StallProbe), so inline probe time stays bounded no matter how many
+// 2 × stallProbe), so inline probe time stays bounded no matter how many
 // stalled clients keep receiving traffic; the timer-driven retry otherwise
 // owns them.
 func (t *ioThread) recoverEgress(c *Client, now time.Time) {
 	if c.stallBytes() > 0 {
-		if now.Sub(c.lastProbe) < t.engine.cfg.StallRetryEvery ||
-			now.Sub(t.lastProbe) < 2*t.engine.cfg.StallProbe {
+		if now.Sub(c.lastProbe) < stallRetryEvery ||
+			now.Sub(t.lastProbe) < 2*stallProbe {
 			return
 		}
 		c.lastProbe = now
@@ -394,14 +394,26 @@ func (t *ioThread) armRetry() {
 	}
 	t.retryArmed = true
 	in := t.in
-	time.AfterFunc(t.engine.cfg.StallRetryEvery, func() {
+	time.AfterFunc(stallRetryEvery, func() {
 		in.Push(ioEvent{kind: evStallRetry}) // no-op after engine close
 	})
 }
 
+// The overload path's fixed timings. writeStallTimeout bounds one transport
+// write under overload protection: a write that cannot complete within it
+// diverts the remainder into the framing's carry buffer instead of blocking
+// the IoThread. stallRetryEvery is the cadence of retry flushes for stalled
+// clients; stallProbe bounds one retry-flush write attempt against a stalled
+// transport.
+const (
+	writeStallTimeout = 2 * time.Millisecond
+	stallRetryEvery   = 10 * time.Millisecond
+	stallProbe        = 500 * time.Microsecond
+)
+
 // maxProbesPerRetry caps the blocking carry probes one retry tick may
 // issue, so the IoThread time lost to full-transport probes stays bounded
-// (≤ maxProbesPerRetry × StallProbe per StallRetryEvery) no matter how
+// (≤ maxProbesPerRetry × stallProbe per stallRetryEvery) no matter how
 // many clients are stalled — Go's randomized map iteration rotates which
 // clients get probed each tick. Clients whose transport is free (backlog
 // only) are always serviced: their drains cost no probe time.
@@ -435,8 +447,8 @@ func (t *ioThread) retryStalled() {
 // backlog — in that order, preserving the wire order of every surviving
 // frame. The client leaves the stalled set once everything is flushed.
 func (t *ioThread) flushStalled(c *Client) {
-	if sw := c.stall; sw != nil && sw.StalledBytes() > 0 {
-		flushed, err := sw.FlushStalled(t.engine.cfg.StallProbe)
+	if c.stallBytes() > 0 {
+		flushed, err := c.framed.FlushStalled(stallProbe)
 		if flushed > 0 {
 			c.releaseEgress(flushed, 0)
 			t.engine.stats.egress.FlushBytes.Add(flushed)
@@ -517,10 +529,7 @@ func (t *ioThread) flushDue() {
 // and the client joins the stalled set. Reports whether the client is still
 // usable (false after teardown).
 func (t *ioThread) write(c *Client, out []byte, frames int64) bool {
-	var before int64
-	if c.stall != nil {
-		before = c.stall.StalledBytes()
-	}
+	before := c.stallBytes()
 	err := c.framed.WriteBatch(out)
 	if err != nil {
 		c.releaseEgress(int64(len(out)), frames)
@@ -529,13 +538,7 @@ func (t *ioThread) write(c *Client, out []byte, frames int64) bool {
 		t.teardown(c)
 		return false
 	}
-	carried := int64(0)
-	if c.stall != nil {
-		carried = c.stall.StalledBytes() - before
-		if carried < 0 {
-			carried = 0
-		}
-	}
+	carried := max(c.stallBytes()-before, 0)
 	// Frames are consumed (wire or carry): release their events now, and
 	// the bytes that actually left; carried bytes stay charged until a
 	// retry flush drains them.

@@ -7,26 +7,6 @@ import (
 	"migratorydata/internal/netpoll"
 )
 
-// PollFramed is the optional Framed extension behind the readiness read
-// path: the epoll/kqueue replacement for the per-connection reader
-// goroutine (see docs/ARCHITECTURE.md, "The connection path"). A Framed
-// that exposes its transport's raw connection is registered with its
-// IoThread's poll loop at Attach; ReadReady then runs on that loop
-// whenever the kernel reports the socket readable.
-type PollFramed interface {
-	// PollConn returns the transport's raw (fd-backed) connection, or
-	// false when there is none (in-process pipes use the fallback reader
-	// goroutine).
-	PollConn() (syscall.RawConn, bool)
-	// ReadReady consumes at most one transport read's worth of bytes
-	// without blocking, emitting zero or more pool-backed chunks of
-	// protocol bytes; ownership of each chunk passes to emit. A spurious
-	// wakeup (EAGAIN) emits nothing and returns nil. io.EOF or any
-	// transport/framing error is terminal: the caller tears the
-	// connection down.
-	ReadReady(emit func(chunk []byte)) error
-}
-
 // pollLoop is the per-IoThread readiness machinery: one companion
 // goroutine multiplexing every fd-backed connection pinned to the
 // thread. It performs the socket reads (into pooled chunks) and pushes
@@ -92,12 +72,10 @@ func (pl *pollLoop) unregister(c *Client) {
 	if !ok {
 		return
 	}
-	if pf, isPoll := c.framed.(PollFramed); isPoll {
-		if rc, hasFd := pf.PollConn(); hasFd {
-			// Best effort: if the transport is already closed the kernel
-			// removed the fd from the interest set itself.
-			_ = pl.p.Del(rc)
-		}
+	if rc, hasFd := c.framed.PollConn(); hasFd {
+		// Best effort: if the transport is already closed the kernel
+		// removed the fd from the interest set itself.
+		_ = pl.p.Del(rc)
 	}
 }
 
@@ -158,12 +136,8 @@ func (pl *pollLoop) ready(token uint64) {
 		pl.unregister(c)
 		return
 	}
-	pf, isPoll := c.framed.(PollFramed)
-	if !isPoll {
-		return
-	}
 	pl.curr = c
-	err := pf.ReadReady(pl.emit)
+	err := c.framed.ReadReady(pl.emit)
 	pl.curr = nil
 	if err != nil {
 		pl.unregister(c)
@@ -213,11 +187,7 @@ func (e *Engine) startReader(c *Client) bool {
 	if !netpoll.Supported() {
 		return false
 	}
-	pf, isPoll := c.framed.(PollFramed)
-	if !isPoll {
-		return false
-	}
-	rc, hasFd := pf.PollConn()
+	rc, hasFd := c.framed.PollConn()
 	if !hasFd {
 		return false
 	}

@@ -199,14 +199,8 @@ func (c *Client) storeTier(bytes, events int64) {
 // tier returns the client's cached pressure tier.
 func (c *Client) tier() PressureTier { return PressureTier(c.egress.tier.Load()) }
 
-// stallBytes reports the transport-carried unwritten bytes (0 when the
-// framing has no stall support).
-func (c *Client) stallBytes() int64 {
-	if c.stall == nil {
-		return 0
-	}
-	return c.stall.StalledBytes()
-}
+// stallBytes reports the transport-carried unwritten bytes.
+func (c *Client) stallBytes() int64 { return c.framed.StalledBytes() }
 
 // egressBlocked reports whether frames for c must take the backlog path:
 // the transport carries unwritten bytes, or older frames already wait in

@@ -101,7 +101,6 @@ func TestPressureDropsBoundedAndRecovers(t *testing.T) {
 	e := New(Config{
 		ServerID: "drops", IoThreads: 1, Workers: 1, TopicGroups: 4,
 		EgressBudgetBytes: budget,
-		StallRetryEvery:   2 * time.Millisecond,
 		Classify:          func(string) DeliveryClass { return ClassConflatable },
 	})
 	defer e.Close()

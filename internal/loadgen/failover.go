@@ -190,12 +190,3 @@ func waitCoordReady(nodes []*cluster.Node, timeout time.Duration) error {
 	}
 	return errors.New("loadgen: coordination service not ready")
 }
-
-// Row2 formats one Table-2 row (before/after) like the paper (ms).
-func Row2(label string, s metrics.Stats, cpu float64) string {
-	return fmt.Sprintf("%-8s %7.2f  %7.2f  %7.2f  %7.2f  %7.2f  %7.2f  %6.2f%%",
-		label, s.Median, s.Mean, s.StdDev, s.P90, s.P95, s.P99, cpu*100)
-}
-
-// Row2Header is the column header matching Row2.
-const Row2Header = "Test      Median     Mean   StdDev      P90      P95      P99  CPU/server"

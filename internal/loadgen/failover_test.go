@@ -50,9 +50,6 @@ func TestRunFailoverSmoke(t *testing.T) {
 	if total < 90 {
 		t.Fatalf("clients after failover = %v (total %d), want >= 90", res.ClientsAfter, total)
 	}
-	if Row2("Before", res.Before, res.CPUBefore) == "" || Row2Header == "" {
-		t.Fatal("formatting")
-	}
 }
 
 func TestRunFailoverRejectsSmallCluster(t *testing.T) {

@@ -140,17 +140,6 @@ type Result struct {
 	PressureDisconnects int64
 }
 
-// Row formats the result like a row of Table 1 (latencies in ms).
-func (r Result) Row() string {
-	return fmt.Sprintf("%8d  %7.2f  %7.2f  %7.2f  %7.2f  %7.2f  %7.2f  %6.2f%%  %6.3f  %4d",
-		r.Subscribers, r.Latency.Median, r.Latency.Mean, r.Latency.StdDev,
-		r.Latency.P90, r.Latency.P95, r.Latency.P99,
-		r.CPU*100, r.Gbps, r.Topics)
-}
-
-// RowHeader is the column header matching Row.
-const RowHeader = "   Subs.   Median     Mean   StdDev      P90      P95      P99     CPU     Gbps  Topics"
-
 // SingleEngineAttach attaches connections to one engine over small
 // in-process pipes (the vertical-scalability setup: one server machine,
 // benchmark tools alongside).

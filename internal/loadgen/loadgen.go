@@ -11,6 +11,10 @@
 // ("in order to avoid time synchronization errors between machines, we
 // record latency only for Benchpub/Benchsub couples located on the same
 // machine").
+//
+// It is the in-process harness behind the invariant tests and the
+// informational benchmarks — only tests import it. Timings that back a
+// claim come from benchmark/, over real sockets.
 package loadgen
 
 import (

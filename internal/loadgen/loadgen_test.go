@@ -95,7 +95,7 @@ func TestBenchsubRecordingGate(t *testing.T) {
 	}
 }
 
-func TestRunScenarioProducesRow(t *testing.T) {
+func TestRunScenarioProducesResult(t *testing.T) {
 	e := newEngine(t)
 	res, err := RunScenario(e, Scenario{
 		Subscribers:     50,
@@ -115,9 +115,6 @@ func TestRunScenarioProducesRow(t *testing.T) {
 	}
 	if res.Gaps != 0 {
 		t.Fatalf("gaps = %d", res.Gaps)
-	}
-	if res.Row() == "" || RowHeader == "" {
-		t.Fatal("empty formatting")
 	}
 }
 

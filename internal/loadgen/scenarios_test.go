@@ -7,7 +7,7 @@ import (
 )
 
 // reducedOpts is the CI-scale configuration: small fleets, short windows,
-// fixed seed. The full-scale shapes run as benchmarks (see bench_test.go);
+// fixed seed. The full-scale shapes run in TestScenarioLibraryGreen (root);
 // these runs prove the degradation assertions hold under the race
 // detector on shared runners.
 func reducedOpts() ScenarioOptions {

@@ -1,10 +1,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -262,39 +259,5 @@ func BenchmarkPauseGateUncontended(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Gate()
-	}
-}
-
-func TestAppendBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := AppendBenchJSON(path, BenchRow{Name: "a", Iterations: 10, MsgsPerSec: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendBenchJSON(path, BenchRow{Name: "b", AllocsPerOp: 1.5,
-		Extra: map[string]float64{"subscribers": 3}}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []BenchRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		t.Fatalf("emitted file is not valid JSON: %v\n%s", err, data)
-	}
-	if len(rows) != 2 || rows[0].Name != "a" || rows[1].Extra["subscribers"] != 3 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	// A corrupt file is replaced, not fatal.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendBenchJSON(path, BenchRow{Name: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	data, _ = os.ReadFile(path)
-	rows = nil
-	if err := json.Unmarshal(data, &rows); err != nil || len(rows) != 1 || rows[0].Name != "c" {
-		t.Fatalf("corrupt file not replaced: %v %+v", err, rows)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"migratorydata/internal/loadgen"
 )
 
-// TestMain lets BenchmarkScenarios run the kill-and-resume scenario: the
+// TestMain lets TestScenarioLibraryGreen run the kill-and-resume scenario: the
 // scenario re-execs this test binary as its durable server child, and
 // RunServerProcessIfRequested takes the process over (never returning)
 // when the handshake env var is set.

@@ -12,9 +12,8 @@ import (
 )
 
 // TestTCPClusterWithLoadgen runs the real deployment shape end to end: a
-// 3-member cluster listening on TCP loopback in raw mode, with the
-// Benchpub/Benchsub tools (as cmd/benchpub and cmd/benchsub use them)
-// driving load over actual sockets.
+// 3-member cluster listening on TCP loopback in raw mode, with loadgen's
+// Benchpub/Benchsub fleets driving load over actual sockets.
 func TestTCPClusterWithLoadgen(t *testing.T) {
 	clu, err := server.NewCluster(server.ClusterSpec{
 		Members: []server.Config{
