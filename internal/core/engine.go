@@ -355,12 +355,23 @@ func (e *Engine) Serve(l net.Listener, mode string) error {
 	}
 }
 
+// handshakeTimeout bounds the WebSocket upgrade, the only blocking reads
+// the server does on a connection's own goroutine: a peer that connects
+// and then says nothing must not own that goroutine and its fd forever.
+const handshakeTimeout = 10 * time.Second
+
 // handleConn upgrades and attaches one inbound connection.
 func (e *Engine) handleConn(conn net.Conn, mode string) {
 	var framed Framed
 	switch mode {
 	case "ws":
+		// Arming fails only on a closed conn, which the handshake's first
+		// read reports anyway.
+		_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 		ws, err := websocket.ServerHandshake(conn)
+		if err == nil {
+			err = conn.SetDeadline(time.Time{})
+		}
 		if err != nil {
 			e.logger.Debug("websocket handshake failed", "err", err)
 			conn.Close()
@@ -778,10 +789,11 @@ func (e *Engine) Close() error {
 		_ = l.Close()
 	}
 	for _, c := range clients {
-		// Close transports directly: reader goroutines unblock with an
-		// error (and the kernel deregisters closed fds from the pollers)
-		// and funnel through the normal teardown path.
+		// Close transports directly so fallback reader goroutines unblock,
+		// and request the teardown explicitly: a closed fd leaves its
+		// poller's set silently, so no readiness event would ever ask.
 		_ = c.framed.Close()
+		c.CloseAsync()
 	}
 	for _, t := range e.ioThreads {
 		// Seal the lazy poller so none can start after shutdown, then stop

@@ -9,7 +9,8 @@
 // The paper's Java implementation multiplexes clients over a configurable
 // number of IoThreads using asynchronous I/O. This engine does the same:
 // each IoThread owns a kernel readiness poller (internal/netpoll — epoll
-// on linux, kqueue on darwin) whose companion goroutine reads ready
+// on linux, kqueue on darwin) whose poll-loop goroutine — parked on the
+// Go runtime poller between events, holding no thread — reads ready
 // sockets into pooled chunks and forwards them to the IoThread's queue,
 // so goroutine count stays flat in connection count (the C10M property)
 // while all protocol decoding, routing, and writing still happens on the

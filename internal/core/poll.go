@@ -7,13 +7,15 @@ import (
 	"migratorydata/internal/netpoll"
 )
 
-// pollLoop is the per-IoThread readiness machinery: one companion
-// goroutine multiplexing every fd-backed connection pinned to the
-// thread. It performs the socket reads (into pooled chunks) and pushes
-// the resulting evBytes onto the IoThread queue — decoding, writing, and
+// pollLoop is the per-IoThread readiness machinery: one goroutine
+// multiplexing every fd-backed connection pinned to the thread. It
+// performs the socket reads (into pooled chunks) and pushes the
+// resulting evBytes onto the IoThread queue — decoding, writing, and
 // teardown stay on the IoThread, preserving the fixed client→thread
-// ownership of §4. Created lazily by ioThread.poller: an engine serving
-// only in-process pipes never starts one.
+// ownership of §4. Between readiness events it is parked on the runtime
+// poller and holds no thread, so the IoThread it has just readied runs
+// at once. Created lazily by ioThread.poller: an engine serving only
+// in-process pipes never starts one.
 //
 // fd ownership rule: the poll loop never holds a raw fd. Registration,
 // deregistration, and reads all go through syscall.RawConn, whose

@@ -312,3 +312,34 @@ func TestPollGoroutinesFlat(t *testing.T) {
 		t.Fatalf("goroutines grew by %d for %d connections — reader-per-conn suspected", grew, conns)
 	}
 }
+
+// TestCloseTearsDownSocketClients: Close must tear real-socket clients
+// down itself — a closed fd leaves the poller's set without an event —
+// rather than wait out its deadline with them still attached.
+func TestCloseTearsDownSocketClients(t *testing.T) {
+	e := newTestEngine(t, Config{IoThreads: 2, Workers: 2, TopicGroups: 1})
+	addr := serveTCP(t, e, "raw")
+	const conns = 50
+	for i := 0; i < conns; i++ {
+		p := dialPeer(t, addr)
+		p.send(&protocol.Message{Kind: protocol.KindSubscribe,
+			Topics: []protocol.TopicPosition{{Topic: fmt.Sprintf("close-%d", i)}}})
+		p.expectKind(protocol.KindSubAck, 5*time.Second)
+	}
+	if !e.GroupHasSubscribers(0) {
+		t.Fatal("GroupHasSubscribers(0) = false with 50 live subscribers")
+	}
+	start := time.Now()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("Close took %v with %d idle socket clients, want < 500ms", took, conns)
+	}
+	if n := e.NumClients(); n != 0 {
+		t.Errorf("%d clients still attached after Close", n)
+	}
+	if e.GroupHasSubscribers(0) {
+		t.Error("GroupHasSubscribers(0) = true after Close: the detach never reached the workers")
+	}
+}

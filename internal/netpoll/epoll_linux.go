@@ -3,10 +3,13 @@
 package netpoll
 
 import (
+	"fmt"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"time"
 )
 
 // Supported reports whether this build has a kernel poller.
@@ -16,15 +19,27 @@ func Supported() bool { return true }
 const wakeToken = ^uint64(0)
 
 // Poller wraps an epoll instance plus a self-pipe used to interrupt
-// Wait. All methods except Wait are safe for concurrent use; Wait has a
-// single caller (the IoThread's poll loop), which is also the goroutine
-// that releases the kernel fds once it observes ErrClosed — fd teardown
-// never races with a concurrent Wait on the same fds.
+// Wait. The epoll fd is itself registered with the Go runtime's poller
+// (epoll nests), so Wait parks the calling goroutine and holds neither
+// a thread nor a P while nothing is ready. All methods except Wait are
+// safe for concurrent use; Wait has a single caller (the IoThread's
+// poll loop), which is also the goroutine that releases the kernel fds
+// once it observes ErrClosed — fd teardown never races with a
+// concurrent Wait on the same fds.
 type Poller struct {
-	epfd   int
+	epfd   int             // owned by file; never written after New
+	file   *os.File        // epfd as the runtime poller sees it
+	rc     syscall.RawConn // file's, for the parking Read in Wait
 	wakeR  int
-	events []syscall.EpollEvent // Wait scratch, sized to the caller's batch
 	closed atomic.Bool
+
+	// One Wait's harvest: the callback is bound once and reports through
+	// these fields (Wait has a single caller), so a wake-up allocates
+	// nothing.
+	harvest func(fd uintptr) bool
+	buf     []syscall.EpollEvent // sized to the caller's batch
+	ready   int
+	werr    error
 
 	// The wake-write end is the one fd touched by goroutines other than
 	// the Wait caller, so its teardown is mutex-fenced: Wake must never
@@ -35,18 +50,42 @@ type Poller struct {
 }
 
 // New creates a Poller. The self-pipe is registered up front with the
-// reserved wakeToken so Wake can interrupt a blocked Wait.
+// reserved wakeToken so Wake can interrupt a parked Wait.
 func New() (*Poller, error) {
 	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 	if err != nil {
 		return nil, err
 	}
-	var pipe [2]int
-	if err := syscall.Pipe2(pipe[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+	return newPoller(epfd)
+}
+
+// newPoller builds a Poller around epfd, taking ownership of it. The fd
+// goes to the runtime poller through os.NewFile, which registers any fd
+// already in non-blocking mode; a registration failure is silent there,
+// so the deadline probe proves it — a Poller the runtime refused would
+// fail its first idle Wait, so New fails instead.
+func newPoller(epfd int) (*Poller, error) {
+	if err := syscall.SetNonblock(epfd, true); err != nil {
 		syscall.Close(epfd)
 		return nil, err
 	}
-	p := &Poller{epfd: epfd, wakeR: pipe[0], wakeW: pipe[1]}
+	file := os.NewFile(uintptr(epfd), "netpoll-epoll")
+	if err := file.SetReadDeadline(time.Time{}); err != nil {
+		file.Close()
+		return nil, fmt.Errorf("netpoll: runtime poller refused the epoll fd: %w", err)
+	}
+	rc, err := file.SyscallConn()
+	if err != nil {
+		file.Close()
+		return nil, err
+	}
+	var pipe [2]int
+	if err := syscall.Pipe2(pipe[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+		file.Close()
+		return nil, err
+	}
+	p := &Poller{epfd: epfd, file: file, rc: rc, wakeR: pipe[0], wakeW: pipe[1]}
+	p.harvest = p.harvestReady
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN}
 	putToken(&ev, wakeToken)
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pipe[0], &ev); err != nil {
@@ -102,24 +141,27 @@ func (p *Poller) Del(rc syscall.RawConn) error {
 	return opErr
 }
 
-// Wait blocks until at least one registered connection is readable or
-// Wake is called, filling evs with readiness tokens. woken reports that
-// a Wake was consumed (the caller should process pending registration
-// kicks). After Close, Wait releases the kernel fds and returns
-// ErrClosed — it is the single place teardown happens.
+// Wait parks the calling goroutine until at least one registered
+// connection is readable or Wake is called, filling evs with readiness
+// tokens. woken reports that a Wake was consumed (the caller should
+// process pending registration kicks). After Close, Wait releases the
+// kernel fds and returns ErrClosed — it is the single place teardown
+// happens.
 func (p *Poller) Wait(evs []Event) (n int, woken bool, err error) {
-	if p.closed.Load() {
-		p.destroy()
-		return 0, false, ErrClosed
+	if cap(p.buf) < len(evs) {
+		p.buf = make([]syscall.EpollEvent, len(evs))
 	}
-	if cap(p.events) < len(evs) {
-		p.events = make([]syscall.EpollEvent, len(evs))
-	}
-	buf := p.events[:len(evs)]
+	p.buf = p.buf[:len(evs)]
 	for {
-		nn, err := syscall.EpollWait(p.epfd, buf, -1)
-		if err == syscall.EINTR {
-			continue
+		if p.closed.Load() {
+			p.destroy()
+			return 0, false, ErrClosed
+		}
+		// The runtime runs the harvest now and again on every readiness
+		// edge of the epoll fd, parking this goroutine in between.
+		err := p.rc.Read(p.harvest)
+		if err == nil {
+			err = p.werr
 		}
 		if err != nil {
 			p.destroy()
@@ -129,8 +171,8 @@ func (p *Poller) Wait(evs []Event) (n int, woken bool, err error) {
 			return 0, false, err
 		}
 		out := 0
-		for i := 0; i < nn; i++ {
-			tok := getToken(&buf[i])
+		for i := 0; i < p.ready; i++ {
+			tok := getToken(&p.buf[i])
 			if tok == wakeToken {
 				woken = true
 				p.drainWake()
@@ -139,18 +181,22 @@ func (p *Poller) Wait(evs []Event) (n int, woken bool, err error) {
 			evs[out] = Event{Token: tok}
 			out++
 		}
-		if p.closed.Load() {
-			p.destroy()
-			return 0, false, ErrClosed
-		}
-		if out == 0 && !woken {
-			continue // spurious
+		if p.closed.Load() || (out == 0 && !woken) {
+			continue // closed: tear down above; otherwise spurious
 		}
 		return out, woken, nil
 	}
 }
 
-// Wake interrupts a blocked Wait. A full pipe means a wake is already
+// harvestReady is Wait's RawConn.Read callback: one zero-timeout
+// epoll_wait, which never sleeps (so is never interrupted). False sends
+// the runtime back to park until the epoll fd's next readiness edge.
+func (p *Poller) harvestReady(fd uintptr) bool {
+	p.ready, p.werr = syscall.EpollWait(int(fd), p.buf, 0)
+	return p.ready > 0 || p.werr != nil
+}
+
+// Wake interrupts a parked Wait. A full pipe means a wake is already
 // pending, which is just as good. The write happens under wakeMu so it
 // can never hit an fd number recycled after destroy.
 func (p *Poller) Wake() {
@@ -190,10 +236,10 @@ func (p *Poller) Close() {
 }
 
 func (p *Poller) destroy() {
-	if p.epfd >= 0 {
-		syscall.Close(p.epfd)
+	if p.wakeR >= 0 {
+		p.file.Close() // closes epfd
 		syscall.Close(p.wakeR)
-		p.epfd, p.wakeR = -1, -1
+		p.wakeR = -1
 	}
 	p.wakeMu.Lock()
 	if !p.wakeClosed {

@@ -13,7 +13,12 @@ import (
 func Supported() bool { return true }
 
 // Poller wraps a kqueue instance plus a self-pipe used to interrupt
-// Wait. kevent's udata field is a pointer Go cannot populate from the
+// Wait. Unlike the epoll Poller, Wait here still blocks its thread in a
+// raw kevent rather than parking on the runtime poller: this file can be
+// compiled where it is developed but not run, so it keeps the form that
+// was tested on darwin.
+//
+// kevent's udata field is a pointer Go cannot populate from the
 // syscall package portably, so tokens are kept in an fd-indexed map
 // instead; the map is only mutated under mu while the owning connection
 // is provably open (inside RawConn.Control), so a reused fd number

@@ -3,8 +3,15 @@
 // fd-backed connection pinned to an IoThread: instead of a blocking
 // reader goroutine per connection (8 KiB of stack each — the binding
 // constraint on the paper's C10M supplementary experiment), a single
-// companion goroutine per IoThread waits on epoll (linux) or kqueue
+// poll-loop goroutine per IoThread waits on epoll (linux) or kqueue
 // (darwin) and reads only sockets the kernel reports readable.
+//
+// On linux the wait parks that goroutine on the Go runtime's own poller
+// (the epoll fd is registered with it) and holds no thread. A raw
+// blocking epoll_wait would keep the P until sysmon retook it, and every
+// goroutine the loop had just readied would wait that out — on one P,
+// most of a delivery's latency. The rule for the delivery path: no
+// goroutine on it enters an unbounded raw blocking syscall.
 //
 // On other platforms, or under the `nonetpoll` build tag, Supported
 // reports false and the engine falls back to goroutine-per-connection

@@ -256,3 +256,56 @@ func TestRegistrationChurn(t *testing.T) {
 		server.Close()
 	}
 }
+
+// TestWaitLosesNoWakeup has the reader race harvest → park against a
+// writer on every round: each byte must surface through Wait, however
+// the write lands relative to the goroutine parking.
+func TestWaitLosesNoWakeup(t *testing.T) {
+	if !Supported() {
+		t.Skip("no kernel poller in this build")
+	}
+	client, server := tcpPair(t)
+	p, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	rc := rawConnOf(t, server)
+	if err := p.Add(rc, 9); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 10000
+	seen := make(chan error) // unbuffered: the writer sends byte i+1 only after byte i was read
+	go func() {
+		evs := make([]Event, 4)
+		var buf [8]byte
+		for i := 0; i < rounds; i++ {
+			n, _, err := p.Wait(evs)
+			if err == nil && (n != 1 || evs[0].Token != 9) {
+				err = errors.New("unexpected event set")
+			}
+			if err == nil {
+				if n, again, rerr := ReadConn(rc, buf[:]); rerr != nil || again || n != 1 {
+					err = errors.New("readiness reported but no byte to read")
+				}
+			}
+			seen <- err
+			if err != nil {
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if _, err := client.Write([]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-seen:
+			if err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("round %d: byte written but Wait never reported it (lost wake-up)", i)
+		}
+	}
+}
