@@ -3,8 +3,8 @@
 // figure, plus ablations of the design decisions the paper calls out. The
 // paper's testbed drove up to one million real WebSocket connections into
 // 2×8-core Xeon servers over 10 GbE; these run the engine over in-process
-// pipes (the fallback read path, not the netpoll path production uses) with
-// client counts scaled down by ScaleDivisor. Shapes — linear CPU growth,
+// socketpairs (the production read path, but no TCP, generators in the same
+// process, one run each) with client counts scaled down by ScaleDivisor. Shapes — linear CPU growth,
 // flat-then-rising latency, tail inflation at saturation, bounded
 // degradation after a fail-stop, zero message loss — are preserved; the
 // numbers are printed, never gated, and no performance claim rides on them:
@@ -39,6 +39,20 @@ func benchEngine(b *testing.B) *core.Engine {
 	return e
 }
 
+// requireDescriptors skips a row the descriptor budget cannot hold: an
+// in-process connection costs two descriptors (both socketpair ends live in
+// this process), plus slack for publishers, pollers and the runtime. The
+// soft limit is raised as far as the hard limit allows first.
+func requireDescriptors(b *testing.B, conns int) {
+	b.Helper()
+	need := uint64(2*conns) + 512
+	got, err := loadgen.RaiseFDLimit(need)
+	if err != nil || got < need {
+		b.Skipf("%d in-process connections need %d descriptors (2 each + 512); RLIMIT_NOFILE allows %d (err %v)",
+			conns, need, got, err)
+	}
+}
+
 // reportScenario attaches a Result's key numbers to the benchmark output.
 func reportScenario(b *testing.B, r loadgen.Result) {
 	b.Helper()
@@ -62,6 +76,7 @@ func BenchmarkTable1VerticalScalability(b *testing.B) {
 	for step := 1; step <= 10; step++ {
 		paperSubs := step * 100_000
 		b.Run(fmt.Sprintf("subs-%dK", paperSubs/1000), func(b *testing.B) {
+			requireDescriptors(b, paperSubs/ScaleDivisor)
 			for i := 0; i < b.N; i++ {
 				e := core.New(core.Config{ServerID: "bench", TopicGroups: 100})
 				res, err := loadgen.RunScenario(e, loadgen.Scenario{
@@ -90,6 +105,7 @@ func BenchmarkFigure3LatencyCPUCurve(b *testing.B) {
 	for _, step := range []int{2, 6, 10} {
 		paperSubs := step * 100_000
 		b.Run(fmt.Sprintf("subs-%dK", paperSubs/1000), func(b *testing.B) {
+			requireDescriptors(b, paperSubs/ScaleDivisor)
 			for i := 0; i < b.N; i++ {
 				e := core.New(core.Config{ServerID: "bench", TopicGroups: 100})
 				res, err := loadgen.RunScenario(e, loadgen.Scenario{
@@ -159,6 +175,7 @@ func BenchmarkC10MScenario(b *testing.B) {
 	const paperClients = 10_000_000
 	const scale = 1000 // deeper scaling: the bottleneck here is connections
 	clients := paperClients / scale
+	requireDescriptors(b, clients)
 	for i := 0; i < b.N; i++ {
 		e := core.New(core.Config{ServerID: "c10m", TopicGroups: 100})
 		res, err := loadgen.RunScenario(e, loadgen.Scenario{

@@ -124,7 +124,9 @@ type metrics struct {
 // framed abstracts the client's transport framing.
 type framed interface {
 	write(frame []byte) error
-	read() ([]byte, error)
+	// read performs one blocking transport read and hands the protocol
+	// bytes it carried to feed, which must copy what it keeps.
+	read(feed func([]byte)) error
 	close() error
 }
 

@@ -83,7 +83,7 @@ func (c *Client) runSession(server string) error {
 			conn.Close()
 			return err
 		}
-		f = &wsClientFramed{ws: ws}
+		f = newWSClientFramed(ws)
 	}
 
 	// CONNECT / CONNACK, then re-subscribe with resume positions.
@@ -172,19 +172,16 @@ func (c *Client) detach(f framed) {
 func (c *Client) readPump(f framed) error {
 	var dec protocol.StreamDecoder
 	for {
-		chunk, err := f.read()
-		if len(chunk) > 0 {
-			dec.Feed(chunk)
-			for {
-				m, derr := dec.Next()
-				if derr != nil {
-					return derr
-				}
-				if m == nil {
-					break
-				}
-				c.dispatch(m)
+		err := f.read(dec.Feed)
+		for {
+			m, derr := dec.Next()
+			if derr != nil {
+				return derr
 			}
+			if m == nil {
+				break
+			}
+			c.dispatch(m)
 		}
 		if err != nil {
 			return err
@@ -266,30 +263,45 @@ func (r *rawClientFramed) write(frame []byte) error {
 	return err
 }
 
-func (r *rawClientFramed) read() ([]byte, error) {
+func (r *rawClientFramed) read(feed func([]byte)) error {
 	n, err := r.conn.Read(r.buf)
 	if n > 0 {
-		out := make([]byte, n)
-		copy(out, r.buf[:n])
-		return out, err
+		feed(r.buf[:n])
 	}
-	return nil, err
+	return err
 }
 
 func (r *rawClientFramed) close() error { return r.conn.Close() }
 
-// wsClientFramed carries protocol frames inside WebSocket binary messages.
+// wsClientFramed carries protocol frames inside WebSocket binary messages,
+// deframed by the same incremental StreamReader the server uses.
 type wsClientFramed struct {
-	ws *websocket.Conn
+	ws  *websocket.Conn
+	sr  *websocket.StreamReader
+	buf []byte
+}
+
+func newWSClientFramed(ws *websocket.Conn) *wsClientFramed {
+	return &wsClientFramed{ws: ws, sr: ws.NewStreamReader(nil), buf: make([]byte, 8192)}
 }
 
 func (w *wsClientFramed) write(frame []byte) error {
 	return w.ws.WriteMessage(websocket.OpBinary, frame)
 }
 
-func (w *wsClientFramed) read() ([]byte, error) {
-	_, payload, err := w.ws.ReadMessage()
-	return payload, err
+func (w *wsClientFramed) read(feed func([]byte)) error {
+	// What the handshake's buffered reader drew past the HTTP response never
+	// shows up on the socket again; after the first call this finds nothing.
+	if err := w.sr.FeedBuffered(feed); err != nil {
+		return err
+	}
+	n, err := w.ws.NetConn().Read(w.buf)
+	if n > 0 {
+		if ferr := w.sr.Feed(w.buf[:n], feed); ferr != nil {
+			return ferr
+		}
+	}
+	return err
 }
 
 func (w *wsClientFramed) close() error { return w.ws.Close() }

@@ -86,9 +86,10 @@ func TestDocsPinDurability(t *testing.T) {
 
 // TestDocsPinConnectionPath pins the connection-scale documentation
 // contract: the architecture map describes the event-loop read path (fd
-// ownership rule, fallback build tag) and the benchmark runbook names the
-// idle-connection test, its scale knob and its bounds — code and CI point
-// readers at these by name, so renaming them must fail here.
+// ownership rule, the one read path in-process connections share) and the
+// benchmark runbook names the idle-connection test, its scale knob and its
+// bounds — code and CI point readers at these by name, so renaming them
+// must fail here.
 func TestDocsPinConnectionPath(t *testing.T) {
 	arch, err := os.ReadFile("docs/ARCHITECTURE.md")
 	if err != nil {
@@ -97,7 +98,8 @@ func TestDocsPinConnectionPath(t *testing.T) {
 	for _, want := range []string{
 		"### The connection path",
 		"syscall.RawConn",
-		"nonetpoll",
+		"**One read path.**",
+		"socketpair",
 	} {
 		if !strings.Contains(string(arch), want) {
 			t.Errorf("docs/ARCHITECTURE.md lost %q", want)

@@ -109,10 +109,13 @@ func attachTo(t *testing.T, n *Node) *clusterPeer {
 	t.Helper()
 	peerCounter++
 	name := fmt.Sprintf("cpeer-%d", peerCounter)
-	a, b := transport.NewPipe(
+	a, b, err := transport.NewPipe(
 		transport.Addr{Net: "inproc", Address: name},
 		transport.Addr{Net: "inproc", Address: n.ID()},
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := n.Engine().Attach(core.NewRawFramed(b)); err != nil {
 		t.Fatalf("attach: %v", err)
 	}

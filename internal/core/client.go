@@ -40,8 +40,8 @@ type Client struct {
 	lastProbe time.Time
 
 	// poll is the IoThread poll loop this connection's fd is registered
-	// with, nil on the fallback reader-goroutine path. Atomic because a
-	// teardown racing Attach may read it before registration completes.
+	// with. Atomic because a teardown racing Attach may read it before
+	// registration completes.
 	poll atomic.Pointer[pollLoop]
 
 	// egress is the per-client staged-egress budget account. Charged by

@@ -382,17 +382,26 @@ func (e *Engine) handleConn(conn net.Conn, mode string) {
 		framed = NewRawFramed(conn)
 	}
 	if _, err := e.Attach(framed); err != nil {
+		e.logger.Debug("attach failed", "err", err)
 		framed.Close()
 	}
 }
 
 // Attach registers an established connection with the engine, pinning it to
-// an IoThread and a Worker (by hash of its remote address, §4) and starting
-// its reader. It is the entry point used both by Serve and by in-process
-// harnesses.
+// an IoThread and a Worker (by hash of its remote address, §4) and
+// registering its descriptor with that IoThread's poll loop — a connection
+// costs no goroutine (the loop is the IoThread's, started by its first
+// Attach). It is the entry point used both by Serve and by in-process
+// harnesses. A transport without a descriptor, or one the poller refuses,
+// is an error, and a failed Attach leaves nothing behind: the caller still
+// owns (and closes) the transport.
 func (e *Engine) Attach(framed Framed) (*Client, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
+	}
+	rc, err := framed.PollConn()
+	if err != nil {
+		return nil, err
 	}
 	id := e.nextID.Add(1)
 	// Per-connection state is deliberately minimal here: the subscription
@@ -406,6 +415,10 @@ func (e *Engine) Attach(framed Framed) (*Client, error) {
 	}
 	c.io = e.ioThreads[pinIndex(framed.RemoteAddr(), id, len(e.ioThreads))]
 	c.worker = e.workers[pinIndex(framed.RemoteAddr(), id, len(e.workers))]
+	pl, err := c.io.poller()
+	if err != nil {
+		return nil, err
+	}
 	if e.protect {
 		// Stall-aware writes keep one slow consumer from blocking its
 		// IoThread.
@@ -425,19 +438,26 @@ func (e *Engine) Attach(framed Framed) (*Client, error) {
 	}
 	e.clients[id] = c
 	e.mu.Unlock()
-	e.stats.connects.Inc()
 	if e.recorder != nil {
-		// Recorded before the read loop starts, so a connection's open
+		// Recorded before the poll loop can read, so a connection's open
 		// event always precedes its first inbound frame in the capture.
 		e.recorder.RecordOpen(id)
 	}
-
-	if !e.startReader(c) {
-		// Fallback read path: a blocking reader goroutine (in-process
-		// pipes, platforms without a kernel poller, `nonetpoll` builds).
-		e.wg.Add(1)
-		go e.readLoop(c)
+	// Published before registration: once the loop can deliver events for
+	// c, a concurrent teardown must already see where to deregister.
+	c.poll.Store(pl)
+	if err := pl.register(c, rc); err != nil {
+		// The transport closed under us, or the engine did. Undo the
+		// bookkeeping above; a teardown that raced us (CloseAllClients saw
+		// c in e.clients) has already recorded the close.
+		c.poll.Store(nil)
+		e.unregister(c)
+		if !c.closed.Swap(true) && e.recorder != nil {
+			e.recorder.RecordClose(id)
+		}
+		return nil, err
 	}
+	e.stats.connects.Inc()
 	return c, nil
 }
 
@@ -455,30 +475,6 @@ func pinIndex(addr string, id uint64, n int) int {
 	}
 	h ^= id * 0x9E3779B97F4A7C15
 	return int(h % uint64(n))
-}
-
-// readLoop pumps received bytes from the connection into the client's
-// IoThread queue.
-func (e *Engine) readLoop(c *Client) {
-	defer e.wg.Done()
-	for {
-		chunk, err := c.framed.ReadChunk()
-		if len(chunk) > 0 {
-			if !c.io.in.Push(ioEvent{kind: evBytes, c: c, data: chunk}) {
-				// Queue closed (engine shutdown): the IoThread will never
-				// see the chunk, so recycle it here.
-				RecycleReadChunk(chunk)
-			}
-		} else if chunk != nil {
-			// Zero-length chunk (an empty WebSocket message): nothing to
-			// feed, but the buffer may be pool-backed.
-			RecycleReadChunk(chunk)
-		}
-		if err != nil {
-			c.io.in.Push(ioEvent{kind: evClose, c: c})
-			return
-		}
-	}
 }
 
 // publish routes a client publication into the configured publish path.
@@ -789,16 +785,16 @@ func (e *Engine) Close() error {
 		_ = l.Close()
 	}
 	for _, c := range clients {
-		// Close transports directly so fallback reader goroutines unblock,
-		// and request the teardown explicitly: a closed fd leaves its
-		// poller's set silently, so no readiness event would ever ask.
+		// Close transports directly so a write blocked on a full peer
+		// unblocks, and request the teardown explicitly: a closed fd leaves
+		// its poller's set silently, so no readiness event would ever ask.
 		_ = c.framed.Close()
 		c.CloseAsync()
 	}
 	for _, t := range e.ioThreads {
 		// Seal the lazy poller so none can start after shutdown, then stop
 		// any that exist; their loops release the kernel fds and exit.
-		t.pollOnce.Do(func() {})
+		t.pollOnce.Do(func() { t.pollErr = ErrEngineClosed })
 		if t.poll != nil {
 			t.poll.close()
 		}

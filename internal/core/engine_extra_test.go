@@ -7,7 +7,6 @@ import (
 
 	"migratorydata/internal/cache"
 	"migratorydata/internal/protocol"
-	"migratorydata/internal/transport"
 )
 
 func TestDeliverWithNoSubscribersIsCheapAndSafe(t *testing.T) {
@@ -96,10 +95,7 @@ func TestResetMeters(t *testing.T) {
 
 func TestClientSendAfterCloseIsNoOp(t *testing.T) {
 	e := newTestEngine(t, Config{})
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "send-after-close"},
-		transport.Addr{Net: "inproc", Address: "server"},
-	)
+	a, b := testPipe(t, "send-after-close", "server", 0)
 	defer a.Close()
 	c, err := e.Attach(NewRawFramed(b))
 	if err != nil {
@@ -149,11 +145,7 @@ func TestEngineManyClientsChurn(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		conns := make([]interface{ Close() error }, 0, clientsPerRound)
 		for i := 0; i < clientsPerRound; i++ {
-			a, b := transport.NewPipeSize(
-				transport.Addr{Net: "inproc", Address: fmt.Sprintf("churn-%d-%d", r, i)},
-				transport.Addr{Net: "inproc", Address: "server"},
-				1024,
-			)
+			a, b := testPipe(t, fmt.Sprintf("churn-%d-%d", r, i), "server", 1024)
 			if _, err := e.Attach(NewRawFramed(b)); err != nil {
 				t.Fatal(err)
 			}
@@ -177,11 +169,7 @@ func BenchmarkEngineFanout1000Subscribers(b *testing.B) {
 	defer e.Close()
 	// 1000 subscribers on one topic over tiny pipes with drains.
 	for i := 0; i < 1000; i++ {
-		a, bb := transport.NewPipeSize(
-			transport.Addr{Net: "inproc", Address: fmt.Sprintf("fan-%d", i)},
-			transport.Addr{Net: "inproc", Address: "server"},
-			2048,
-		)
+		a, bb := testPipe(b, fmt.Sprintf("fan-%d", i), "server", 2048)
 		if _, err := e.Attach(NewRawFramed(bb)); err != nil {
 			b.Fatal(err)
 		}

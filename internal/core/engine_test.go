@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"testing"
 	"time"
@@ -26,13 +27,25 @@ type testPeer struct {
 	buf []byte
 }
 
+// testPipe returns both ends of an inproc connection; size 0 keeps the
+// kernel's default socket buffers.
+func testPipe(t testing.TB, aName, bName string, size int) (a, b net.Conn) {
+	t.Helper()
+	a, b, err := transport.NewPipeSize(
+		transport.Addr{Net: "inproc", Address: aName},
+		transport.Addr{Net: "inproc", Address: bName},
+		size,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
 // attachPeer connects a raw-protocol peer to the engine via an inproc pipe.
 func attachPeer(t *testing.T, e *Engine) *testPeer {
 	t.Helper()
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: fmt.Sprintf("peer-%p", t)},
-		transport.Addr{Net: "inproc", Address: "server"},
-	)
+	a, b := testPipe(t, fmt.Sprintf("peer-%p", t), "server", 0)
 	if _, err := e.Attach(NewRawFramed(b)); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -319,10 +332,7 @@ func TestStatsCounters(t *testing.T) {
 func TestAttachAfterClose(t *testing.T) {
 	e := New(Config{IoThreads: 1, Workers: 1})
 	e.Close()
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "x"},
-		transport.Addr{Net: "inproc", Address: "y"},
-	)
+	a, b := testPipe(t, "x", "y", 0)
 	defer a.Close()
 	if _, err := e.Attach(NewRawFramed(b)); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("err = %v", err)
@@ -400,12 +410,21 @@ func TestServeWebSocketMode(t *testing.T) {
 		protocol.Encode(&protocol.Message{Kind: protocol.KindConnect, ClientID: "wsc"})); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := ws.ReadMessage()
+	// One blocking read through the deframer, as client/session.go does it.
+	var dec protocol.StreamDecoder
+	sr := ws.NewStreamReader(nil)
+	if err := sr.FeedBuffered(dec.Feed); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1024)
+	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := nc.Read(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dec protocol.StreamDecoder
-	dec.Feed(payload)
+	if err := sr.Feed(buf[:n], dec.Feed); err != nil {
+		t.Fatal(err)
+	}
 	ack, err := dec.Next()
 	if err != nil || ack == nil || ack.Kind != protocol.KindConnAck || ack.ClientID != "ws-srv" {
 		t.Fatalf("ws connack = %+v, %v", ack, err)
@@ -438,10 +457,7 @@ func TestPinningStableAndSpread(t *testing.T) {
 	ioSeen := map[int]bool{}
 	wSeen := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		a, b := transport.NewPipe(
-			transport.Addr{Net: "inproc", Address: fmt.Sprintf("pin-%d", i)},
-			transport.Addr{Net: "inproc", Address: "server"},
-		)
+		a, b := testPipe(t, fmt.Sprintf("pin-%d", i), "server", 0)
 		defer a.Close()
 		c, err := e.Attach(NewRawFramed(b))
 		if err != nil {

@@ -15,13 +15,14 @@
 // so goroutine count stays flat in connection count (the C10M property)
 // while all protocol decoding, routing, and writing still happens on the
 // fixed IoThread — preserving the paper's lock-free-by-pinning property.
-// Transports without a file descriptor (in-process pipes), platforms
-// without a kernel poller, and `nonetpoll` builds fall back to a thin
-// blocking reader goroutine per connection.
+// That is the only read path: every connection is a descriptor on a
+// poller — in-process ones included (internal/transport hands out
+// socketpair ends) — and Attach refuses a transport that has none.
 package core
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync/atomic"
@@ -41,11 +42,6 @@ const defaultWriteTimeout = 30 * time.Second
 // Framed abstracts one client connection's byte transport so the engine is
 // identical over raw framed TCP and WebSocket.
 type Framed interface {
-	// ReadChunk returns the next received bytes; they may contain partial
-	// protocol frames (reassembly is the IoThread's job). The returned
-	// buffer may be pool-backed: the consumer owns it until it calls
-	// RecycleReadChunk, after which it must not be touched again.
-	ReadChunk() ([]byte, error)
 	// WriteBatch writes one or more already-encoded protocol frames in a
 	// single transport operation.
 	WriteBatch(batch []byte) error
@@ -75,29 +71,30 @@ type Framed interface {
 	// is not an error; transport failures are.
 	FlushStalled(probe time.Duration) (int64, error)
 
-	// The readiness read path: the epoll/kqueue replacement for the
-	// per-connection reader goroutine (docs/ARCHITECTURE.md, "The
-	// connection path"). A transport with a raw connection is registered
-	// with its IoThread's poll loop at Attach; ReadReady then runs on that
-	// loop whenever the kernel reports the socket readable.
+	// The readiness read path (docs/ARCHITECTURE.md, "The connection
+	// path"). Attach registers the transport's raw connection with its
+	// IoThread's poll loop; ReadReady then runs on that loop whenever the
+	// kernel reports the socket readable.
 
-	// PollConn returns the transport's raw (fd-backed) connection, or
-	// false when there is none (in-process pipes use the fallback reader
-	// goroutine).
-	PollConn() (syscall.RawConn, bool)
+	// PollConn returns the transport's raw (fd-backed) connection, or an
+	// error naming the transport when it has none: such a connection
+	// cannot be served, and Attach reports the error.
+	PollConn() (syscall.RawConn, error)
 	// ReadReady consumes at most one transport read's worth of bytes
 	// without blocking, emitting zero or more pool-backed chunks of
-	// protocol bytes; ownership of each chunk passes to emit. A spurious
-	// wakeup (EAGAIN) emits nothing and returns nil. io.EOF or any
+	// protocol bytes (they may contain partial protocol frames —
+	// reassembly is the IoThread's job); ownership of each chunk passes to
+	// emit, to be released with RecycleReadChunk. A spurious wakeup
+	// (EAGAIN) emits nothing and returns nil. io.EOF or any
 	// transport/framing error is terminal: the caller tears the
-	// connection down.
+	// connection down. PollConn must have succeeded first.
 	ReadReady(emit func(chunk []byte)) error
 }
 
-// RecycleReadChunk returns a chunk obtained from Framed.ReadChunk to the
+// RecycleReadChunk returns a chunk emitted by Framed.ReadReady to the
 // buffer pool. The IoThread calls it once the chunk has been fed to the
 // client's decoder; chunks that never reach an IoThread (push on a closed
-// queue) are recycled by the reader. Safe on any chunk: buffers the pool
+// queue) are recycled by the poll loop. Safe on any chunk: buffers the pool
 // does not recognize are simply left to the GC.
 func RecycleReadChunk(chunk []byte) {
 	bufpool.Put(chunk)
@@ -122,19 +119,6 @@ type rawFramed struct {
 // NewRawFramed wraps a net.Conn carrying raw protocol frames.
 func NewRawFramed(conn net.Conn) Framed {
 	return &rawFramed{conn: conn}
-}
-
-// ReadChunk implements Framed. Each call reads directly into a pooled
-// buffer and hands it off — no per-read copy, no per-read allocation; the
-// consumer releases it via RecycleReadChunk after decoding.
-func (r *rawFramed) ReadChunk() ([]byte, error) {
-	buf := bufpool.Get(bufpool.ClassSize)
-	n, err := r.conn.Read(buf)
-	if n > 0 {
-		return buf[:n], err
-	}
-	bufpool.Put(buf)
-	return nil, err
 }
 
 // WriteBatch implements Framed. With a write-stall bound set the call
@@ -200,23 +184,33 @@ func (r *rawFramed) Close() error { return r.conn.Close() }
 func (r *rawFramed) RemoteAddr() string { return r.conn.RemoteAddr().String() }
 
 // PollConn implements Framed.
-func (r *rawFramed) PollConn() (syscall.RawConn, bool) {
+func (r *rawFramed) PollConn() (syscall.RawConn, error) {
 	if r.rc == nil {
-		sc, ok := r.conn.(syscall.Conn)
-		if !ok {
-			return nil, false
-		}
-		rc, err := sc.SyscallConn()
+		rc, err := rawConnOf(r.conn)
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
 		r.rc = rc
 	}
-	return r.rc, true
+	return r.rc, nil
+}
+
+// rawConnOf returns conn's descriptor as the poller takes it.
+func rawConnOf(conn net.Conn) (syscall.RawConn, error) {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return nil, fmt.Errorf("core: %T has no file descriptor to poll (in-process connections come from internal/transport)", conn)
+	}
+	rc, err := sc.SyscallConn()
+	if err != nil {
+		return nil, fmt.Errorf("core: raw connection of %T: %w", conn, err)
+	}
+	return rc, nil
 }
 
 // ReadReady implements Framed: one non-blocking read straight into a
-// pooled chunk — the readiness-path twin of ReadChunk.
+// pooled chunk and handed off — no per-read copy, no per-read allocation;
+// the IoThread releases it via RecycleReadChunk after decoding.
 //
 //vet:hotpath
 func (r *rawFramed) ReadReady(emit func(chunk []byte)) error {
@@ -250,18 +244,10 @@ type wsFramed struct {
 }
 
 // NewWebSocketFramed wraps an established (post-handshake) WebSocket
-// connection. Message payloads are read into pooled buffers (released by
-// the IoThread via RecycleReadChunk, like raw chunks).
+// connection. Message payloads are deframed into pooled buffers (released
+// by the IoThread via RecycleReadChunk, like raw chunks).
 func NewWebSocketFramed(ws *websocket.Conn) Framed {
-	ws.SetPayloadAlloc(bufpool.Get)
 	return &wsFramed{ws: ws}
-}
-
-// ReadChunk implements Framed: each WebSocket message's payload is a chunk
-// of protocol bytes.
-func (w *wsFramed) ReadChunk() ([]byte, error) {
-	_, payload, err := w.ws.ReadMessage()
-	return payload, err
 }
 
 // WriteBatch implements Framed: the whole batch rides in one binary message
@@ -293,19 +279,15 @@ func (w *wsFramed) Close() error { return w.ws.Close() }
 func (w *wsFramed) RemoteAddr() string { return w.ws.NetConn().RemoteAddr().String() }
 
 // PollConn implements Framed.
-func (w *wsFramed) PollConn() (syscall.RawConn, bool) {
+func (w *wsFramed) PollConn() (syscall.RawConn, error) {
 	if w.rc == nil {
-		sc, ok := w.ws.NetConn().(syscall.Conn)
-		if !ok {
-			return nil, false
-		}
-		rc, err := sc.SyscallConn()
+		rc, err := rawConnOf(w.ws.NetConn())
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
 		w.rc = rc
 	}
-	return w.rc, true
+	return w.rc, nil
 }
 
 // ReadReady implements Framed: one non-blocking socket read pushed

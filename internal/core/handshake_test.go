@@ -1,10 +1,13 @@
 package core
 
 import (
-	"io"
+	"errors"
 	"net"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -12,7 +15,9 @@ import (
 )
 
 // recordingConn notes, in order, the calls handleConn's deadline
-// discipline is made of, and how many clients were attached at each.
+// discipline is made of, and how many clients were attached at each. It
+// wraps one end of a socketpair and forwards SyscallConn: Attach takes only
+// transports with a descriptor.
 type recordingConn struct {
 	net.Conn
 	e *Engine
@@ -43,8 +48,15 @@ func (r *recordingConn) SetDeadline(t time.Time) error {
 	return r.Conn.SetDeadline(t)
 }
 
-// snapshot returns the ops so far: the reader Attach starts keeps
-// appending after handleConn has returned.
+func (r *recordingConn) SyscallConn() (syscall.RawConn, error) {
+	sc, ok := r.Conn.(syscall.Conn)
+	if !ok {
+		return nil, errors.New("wrapped conn has no descriptor")
+	}
+	return sc.SyscallConn()
+}
+
+// snapshot returns the ops so far.
 func (r *recordingConn) snapshot() []connOp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -57,7 +69,7 @@ func indexOp(ops []connOp, name string) int {
 
 func TestHandshakeDeadlineArmedThenCleared(t *testing.T) {
 	e := newTestEngine(t, Config{})
-	a, b := net.Pipe()
+	a, b := testPipe(t, "hs-client", "hs-server", 0)
 	defer a.Close()
 	rec := &recordingConn{Conn: b, e: e}
 	done := make(chan struct{})
@@ -81,12 +93,11 @@ func TestHandshakeDeadlineArmedThenCleared(t *testing.T) {
 
 func TestHandshakeErrorClosesConn(t *testing.T) {
 	e := newTestEngine(t, Config{})
-	a, b := net.Pipe()
+	a, b := testPipe(t, "hs-client", "hs-server", 0)
 	defer a.Close()
 	rec := &recordingConn{Conn: b, e: e}
 	done := make(chan struct{})
 	go func() { e.handleConn(rec, "ws"); close(done) }()
-	go io.Copy(io.Discard, a) // the refusal is written back; a pipe write needs a reader
 	// No Upgrade header: the handshake must refuse this.
 	if _, err := a.Write([]byte("GET / HTTP/1.1\r\nHost: test\r\n\r\n")); err != nil {
 		t.Fatal(err)
@@ -98,5 +109,39 @@ func TestHandshakeErrorClosesConn(t *testing.T) {
 	}
 	if e.NumClients() != 0 {
 		t.Fatalf("NumClients = %d after a failed handshake, want 0", e.NumClients())
+	}
+}
+
+// TestAttachWithoutDescriptorLeavesNothingBehind: a transport the poller
+// cannot take (net.Pipe has no fd) is refused with an error naming it, not
+// served some other way, and the failed Attach leaves no client, no connect
+// count and no goroutine; handleConn closes the conn.
+func TestAttachWithoutDescriptorLeavesNothingBehind(t *testing.T) {
+	e := newTestEngine(t, Config{IoThreads: 1, Workers: 1})
+	attachPeer(t, e) // start the IoThread's poll loop: that goroutine is not the failure's
+	a, b := net.Pipe()
+	defer a.Close()
+	before := runtime.NumGoroutine()
+	_, err := e.Attach(NewRawFramed(b))
+	if err == nil || !strings.Contains(err.Error(), "no file descriptor") {
+		t.Fatalf("Attach over net.Pipe: err = %v, want one naming the missing descriptor", err)
+	}
+	if n := e.NumClients(); n != 1 {
+		t.Fatalf("NumClients = %d after a failed Attach, want the 1 attached before it", n)
+	}
+	if c := e.Stats().Connects; c != 1 {
+		t.Fatalf("Connects = %d after a failed Attach, want 1", c)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d across a failed Attach", before, after)
+	}
+
+	rec := &recordingConn{Conn: b, e: e}
+	e.handleConn(rec, "raw")
+	if ops := rec.snapshot(); indexOp(ops, "close") < 0 {
+		t.Fatalf("handleConn left the refused conn open: ops = %v", ops)
+	}
+	if n := e.NumClients(); n != 1 {
+		t.Fatalf("NumClients = %d after a refused handleConn, want 1", n)
 	}
 }

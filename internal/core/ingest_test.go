@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"migratorydata/internal/protocol"
-	"migratorydata/internal/transport"
 )
 
 // TestConcurrentPublishersOrdering guards the encode-outside-lock hand-off:
@@ -124,10 +123,7 @@ func TestEnginePublishServerOriginated(t *testing.T) {
 // connections does not accumulate per-dead-client state.
 func TestDetachReleasesClientState(t *testing.T) {
 	e := newTestEngine(t, Config{})
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "detach-client"},
-		transport.Addr{Net: "inproc", Address: "server"},
-	)
+	a, b := testPipe(t, "detach-client", "server", 0)
 	c, err := e.Attach(NewRawFramed(b))
 	if err != nil {
 		t.Fatal(err)

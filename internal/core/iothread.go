@@ -96,8 +96,8 @@ type ioThread struct {
 	lastProbe  time.Time
 
 	// poll is this thread's lazily-created readiness loop (see poll.go);
-	// pollOnce guards creation and pollErr latches a failed one. An
-	// engine serving only in-process pipes never creates it.
+	// pollOnce guards creation and pollErr latches why there is none (a
+	// failed creation, or Engine.Close sealing the Once).
 	pollOnce sync.Once
 	poll     *pollLoop
 	pollErr  error

@@ -7,17 +7,13 @@ import (
 
 	"migratorydata/internal/cache"
 	"migratorydata/internal/protocol"
-	"migratorydata/internal/transport"
 )
 
 // attachClient attaches a raw-framed connection and returns both the
 // engine-side Client (for internal-state assertions) and the peer end.
 func attachClient(t *testing.T, e *Engine, name string) (*Client, *testPeer) {
 	t.Helper()
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: name},
-		transport.Addr{Net: "inproc", Address: "server"},
-	)
+	a, b := testPipe(t, name, "server", 0)
 	c, err := e.Attach(NewRawFramed(b))
 	if err != nil {
 		t.Fatalf("Attach: %v", err)

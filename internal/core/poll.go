@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"syscall"
 
@@ -14,8 +15,8 @@ import (
 // teardown stay on the IoThread, preserving the fixed client→thread
 // ownership of §4. Between readiness events it is parked on the runtime
 // poller and holds no thread, so the IoThread it has just readied runs
-// at once. Created lazily by ioThread.poller: an engine serving only
-// in-process pipes never starts one.
+// at once. Created lazily by ioThread.poller on the thread's first
+// Attach, so an engine that never serves a connection never starts one.
 //
 // fd ownership rule: the poll loop never holds a raw fd. Registration,
 // deregistration, and reads all go through syscall.RawConn, whose
@@ -54,7 +55,7 @@ func (pl *pollLoop) register(c *Client, rc syscall.RawConn) error {
 		pl.mu.Lock()
 		delete(pl.conns, c.id)
 		pl.mu.Unlock()
-		return err
+		return fmt.Errorf("core: attach: poller registration: %w", err)
 	}
 	pl.mu.Lock()
 	pl.kicked = append(pl.kicked, c.id)
@@ -74,7 +75,7 @@ func (pl *pollLoop) unregister(c *Client) {
 	if !ok {
 		return
 	}
-	if rc, hasFd := c.framed.PollConn(); hasFd {
+	if rc, err := c.framed.PollConn(); err == nil {
 		// Best effort: if the transport is already closed the kernel
 		// removed the fd from the interest set itself.
 		_ = pl.p.Del(rc)
@@ -163,7 +164,7 @@ func (t *ioThread) poller() (*pollLoop, error) {
 	t.pollOnce.Do(func() {
 		p, err := netpoll.New()
 		if err != nil {
-			t.pollErr = err
+			t.pollErr = fmt.Errorf("core: attach: kernel poller: %w", err)
 			return
 		}
 		pl := &pollLoop{t: t, p: p, conns: make(map[uint64]*Client)}
@@ -179,31 +180,4 @@ func (t *ioThread) poller() (*pollLoop, error) {
 		return nil, t.pollErr
 	}
 	return t.poll, nil
-}
-
-// startReader starts the read side of a freshly attached connection:
-// fd-backed transports register with their IoThread's poll loop, and
-// everything else (in-process pipes, platforms without a kernel poller,
-// `nonetpoll` builds) reports false for the fallback reader goroutine.
-func (e *Engine) startReader(c *Client) bool {
-	if !netpoll.Supported() {
-		return false
-	}
-	rc, hasFd := c.framed.PollConn()
-	if !hasFd {
-		return false
-	}
-	pl, err := c.io.poller()
-	if err != nil {
-		e.logger.Debug("netpoll unavailable, using reader goroutine", "err", err)
-		return false
-	}
-	// Published before registration: once the loop can deliver events for
-	// c, a concurrent teardown must already see where to deregister.
-	c.poll.Store(pl)
-	if err := pl.register(c, rc); err != nil {
-		c.poll.Store(nil)
-		return false
-	}
-	return true
 }

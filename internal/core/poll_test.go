@@ -11,12 +11,12 @@ import (
 	"testing"
 	"time"
 
-	"migratorydata/internal/netpoll"
 	"migratorydata/internal/protocol"
 )
 
-// serveTCP starts the engine on a real loopback listener — the only way
-// to exercise the readiness read path (in-process pipes have no fd).
+// serveTCP starts the engine on a real loopback listener: accept, TCP
+// segmentation and the handshake's buffered reader, which an attached
+// in-process pair does not have.
 func serveTCP(t *testing.T, e *Engine, mode string) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -39,14 +39,6 @@ func dialPeer(t *testing.T, addr string) *testPeer {
 	return &testPeer{t: t, conn: conn.(*net.TCPConn), buf: make([]byte, 8192)}
 }
 
-// requirePollPath skips unless this build reads via the kernel poller.
-func requirePollPath(t *testing.T) {
-	t.Helper()
-	if !netpoll.Supported() {
-		t.Skip("no kernel poller in this build (nonetpoll or unsupported platform)")
-	}
-}
-
 // pollRegistered reports whether any attached client is on the poll path.
 func pollRegistered(e *Engine) bool {
 	e.mu.Lock()
@@ -60,7 +52,6 @@ func pollRegistered(e *Engine) bool {
 }
 
 func TestPollPartialFrameAcrossWakeups(t *testing.T) {
-	requirePollPath(t)
 	e := newTestEngine(t, Config{})
 	addr := serveTCP(t, e, "raw")
 	conn, err := net.Dial("tcp", addr)
@@ -139,7 +130,6 @@ func readWSServerMessage(t *testing.T, br *bufio.Reader) []byte {
 }
 
 func TestPollWebSocketFrameAcrossWakeups(t *testing.T) {
-	requirePollPath(t)
 	e := newTestEngine(t, Config{})
 	addr := serveTCP(t, e, "ws")
 	conn, err := net.Dial("tcp", addr)
@@ -188,7 +178,6 @@ func TestPollWebSocketFrameAcrossWakeups(t *testing.T) {
 }
 
 func TestPollWebSocketPipelinedFrame(t *testing.T) {
-	requirePollPath(t)
 	e := newTestEngine(t, Config{})
 	addr := serveTCP(t, e, "ws")
 	conn, err := net.Dial("tcp", addr)
@@ -233,7 +222,6 @@ func TestPollWebSocketPipelinedFrame(t *testing.T) {
 // write continuously while the engine disconnects them, so readiness
 // events race evClose teardowns (run under -race in CI).
 func TestPollCloseVsReadyRace(t *testing.T) {
-	requirePollPath(t)
 	e := newTestEngine(t, Config{IoThreads: 2, Workers: 2})
 	addr := serveTCP(t, e, "raw")
 
@@ -287,29 +275,37 @@ func TestPollCloseVsReadyRace(t *testing.T) {
 	}
 }
 
-// TestPollGoroutinesFlat is the tentpole's core property: attaching N
-// fd-backed connections must not add ~N goroutines.
+// TestPollGoroutinesFlat is the read path's core property: attaching N
+// connections must not add ~N goroutines — accepted sockets and
+// in-process pairs alike, since both are descriptors on the poller.
 func TestPollGoroutinesFlat(t *testing.T) {
-	requirePollPath(t)
-	e := newTestEngine(t, Config{IoThreads: 2, Workers: 2})
-	addr := serveTCP(t, e, "raw")
+	for _, network := range []string{"tcp", "inproc"} {
+		t.Run(network, func(t *testing.T) {
+			e := newTestEngine(t, Config{IoThreads: 2, Workers: 2})
+			connect := func() *testPeer { return attachPeer(t, e) }
+			if network == "tcp" {
+				addr := serveTCP(t, e, "raw")
+				connect = func() *testPeer { return dialPeer(t, addr) }
+			}
 
-	before := runtime.NumGoroutine()
-	const conns = 100
-	peers := make([]*testPeer, conns)
-	for i := range peers {
-		peers[i] = dialPeer(t, addr)
-		peers[i].send(&protocol.Message{Kind: protocol.KindSubscribe,
-			Topics: []protocol.TopicPosition{{Topic: fmt.Sprintf("flat-%d", i)}}})
-	}
-	for _, p := range peers {
-		p.expectKind(protocol.KindSubAck, 5*time.Second)
-	}
-	after := runtime.NumGoroutine()
-	// Poll path: 2 poll-loop goroutines total. Allow generous slack for
-	// runtime/test goroutines, but fail hard on goroutine-per-conn.
-	if grew := after - before; grew > conns/4 {
-		t.Fatalf("goroutines grew by %d for %d connections — reader-per-conn suspected", grew, conns)
+			before := runtime.NumGoroutine()
+			const conns = 100
+			peers := make([]*testPeer, conns)
+			for i := range peers {
+				peers[i] = connect()
+				peers[i].send(&protocol.Message{Kind: protocol.KindSubscribe,
+					Topics: []protocol.TopicPosition{{Topic: fmt.Sprintf("flat-%d", i)}}})
+			}
+			for _, p := range peers {
+				p.expectKind(protocol.KindSubAck, 5*time.Second)
+			}
+			after := runtime.NumGoroutine()
+			// 2 poll-loop goroutines total. Allow generous slack for
+			// runtime/test goroutines, but fail hard on goroutine-per-conn.
+			if grew := after - before; grew > conns/4 {
+				t.Fatalf("goroutines grew by %d for %d connections — reader-per-conn suspected", grew, conns)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"migratorydata/internal/protocol"
-	"migratorydata/internal/transport"
 )
 
 // attachSmallPeer attaches a raw-protocol peer over a deliberately tiny
@@ -14,11 +13,7 @@ import (
 // immediately — the slow-consumer shape the overload path exists for.
 func attachSmallPeer(t *testing.T, e *Engine, name string, pipeBuffer int) *testPeer {
 	t.Helper()
-	a, b := transport.NewPipeSize(
-		transport.Addr{Net: "inproc", Address: name},
-		transport.Addr{Net: "inproc", Address: "server"},
-		pipeBuffer,
-	)
+	a, b := testPipe(t, name, "server", pipeBuffer)
 	if _, err := e.Attach(NewRawFramed(b)); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"migratorydata/internal/batch"
 	"migratorydata/internal/cache"
 	"migratorydata/internal/protocol"
-	"migratorydata/internal/transport"
 )
 
 var clientPeerCounter atomic.Uint64
@@ -19,10 +18,7 @@ var clientPeerCounter atomic.Uint64
 // observe worker pinning.
 func attachClientPeer(t *testing.T, e *Engine) (*testPeer, *Client) {
 	t.Helper()
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: fmt.Sprintf("cpeer-%d", clientPeerCounter.Add(1))},
-		transport.Addr{Net: "inproc", Address: "server"},
-	)
+	a, b := testPipe(t, fmt.Sprintf("cpeer-%d", clientPeerCounter.Add(1)), "server", 0)
 	c, err := e.Attach(NewRawFramed(b))
 	if err != nil {
 		t.Fatalf("Attach: %v", err)

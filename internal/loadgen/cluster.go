@@ -11,7 +11,6 @@ import (
 	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
 	"migratorydata/internal/metrics"
-	"migratorydata/internal/transport"
 )
 
 // ClusterScenario describes one clustered benchmark run with control over
@@ -48,20 +47,15 @@ func PinnedEngineAttach(engines []*core.Engine, allowed []int, pipeBuffer int) A
 	var counter atomic.Int64
 	return func(i int) (net.Conn, error) {
 		n := counter.Add(1)
+		var lastErr error
 		for try := 0; try < len(allowed); try++ {
-			e := engines[allowed[(int(n)+try)%len(allowed)]]
-			a, b := transport.NewPipeSize(
-				transport.Addr{Net: "inproc", Address: fmt.Sprintf("lg-%d-%d", i, n)},
-				transport.Addr{Net: "inproc", Address: e.ServerID()},
-				pipeBuffer,
-			)
-			if _, err := e.Attach(core.NewRawFramed(b)); err == nil {
+			a, err := attachPipe(engines[allowed[(int(n)+try)%len(allowed)]], i, n, pipeBuffer)
+			if err == nil {
 				return a, nil
 			}
-			a.Close()
-			b.Close()
+			lastErr = err
 		}
-		return nil, errors.New("loadgen: no allowed engine accepts connections")
+		return nil, fmt.Errorf("loadgen: no allowed engine accepts connections: %w", lastErr)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // TCPAttach returns an AttachFunc dialing real loopback TCP connections —
-// the attach mode that exercises the engine's kernel-poller read path
-// (in-process pipes have no file descriptor to register).
+// the attach mode that goes through the listener, accept and the TCP stack
+// (in-process connections share the read path but skip those).
 func TCPAttach(addr string) AttachFunc {
 	return func(int) (net.Conn, error) {
 		return net.Dial("tcp", addr)

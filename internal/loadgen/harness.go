@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -28,7 +27,8 @@ type Scenario struct {
 	// subscribers concentrated on few workers). With subscription-aware
 	// routing a cold publication enqueues no worker events at all.
 	ColdTopics int
-	// PipeBuffer sizes the in-process connection buffers. Default 2048.
+	// PipeBuffer is the socket buffer size asked of the kernel for the
+	// in-process connections (it rounds up to its floor). Default 2048.
 	PipeBuffer int
 	// TopicPrefix names the topics (prefix-0 .. prefix-N). Default "topic".
 	TopicPrefix string
@@ -140,24 +140,33 @@ type Result struct {
 	PressureDisconnects int64
 }
 
-// SingleEngineAttach attaches connections to one engine over small
-// in-process pipes (the vertical-scalability setup: one server machine,
+// SingleEngineAttach attaches connections to one engine over small-buffered
+// in-process socketpairs (the vertical-scalability setup: one server machine,
 // benchmark tools alongside).
 func SingleEngineAttach(e *core.Engine, pipeBuffer int) AttachFunc {
 	var counter atomic.Int64
 	return func(i int) (net.Conn, error) {
-		n := counter.Add(1)
-		a, b := transport.NewPipeSize(
-			transport.Addr{Net: "inproc", Address: fmt.Sprintf("lg-%d-%d", i, n)},
-			transport.Addr{Net: "inproc", Address: e.ServerID()},
-			pipeBuffer,
-		)
-		if _, err := e.Attach(core.NewRawFramed(b)); err != nil {
-			a.Close()
-			return nil, err
-		}
-		return a, nil
+		return attachPipe(e, i, counter.Add(1), pipeBuffer)
 	}
+}
+
+// attachPipe opens an in-process connection (two descriptors) for fleet
+// slot i, attaches its server end to e and returns the client end.
+func attachPipe(e *core.Engine, i int, n int64, pipeBuffer int) (net.Conn, error) {
+	a, b, err := transport.NewPipeSize(
+		transport.Addr{Net: "inproc", Address: fmt.Sprintf("lg-%d-%d", i, n)},
+		transport.Addr{Net: "inproc", Address: e.ServerID()},
+		pipeBuffer,
+	)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := e.Attach(core.NewRawFramed(b)); err != nil {
+		a.Close()
+		b.Close()
+		return nil, err
+	}
+	return a, nil
 }
 
 // MultiEngineAttach spreads connections round-robin over several engines
@@ -167,20 +176,15 @@ func MultiEngineAttach(engines []*core.Engine, pipeBuffer int) AttachFunc {
 	var counter atomic.Int64
 	return func(i int) (net.Conn, error) {
 		n := counter.Add(1)
+		var lastErr error
 		for try := 0; try < len(engines); try++ {
-			e := engines[(int(n)+try)%len(engines)]
-			a, b := transport.NewPipeSize(
-				transport.Addr{Net: "inproc", Address: fmt.Sprintf("lg-%d-%d", i, n)},
-				transport.Addr{Net: "inproc", Address: e.ServerID()},
-				pipeBuffer,
-			)
-			if _, err := e.Attach(core.NewRawFramed(b)); err == nil {
+			a, err := attachPipe(engines[(int(n)+try)%len(engines)], i, n, pipeBuffer)
+			if err == nil {
 				return a, nil
 			}
-			a.Close()
-			b.Close()
+			lastErr = err
 		}
-		return nil, errors.New("loadgen: no live engine accepts connections")
+		return nil, fmt.Errorf("loadgen: no live engine accepts connections: %w", lastErr)
 	}
 }
 

@@ -75,9 +75,9 @@ type ScenarioOptions struct {
 	// Seed fixes the run's randomness.
 	Seed int64
 	// Transport selects how the fleet attaches: "" (default) uses
-	// in-process pipes, "tcp" dials real loopback sockets through the
-	// engine's kernel-poller read path — every drop and re-dial then
-	// churns a file descriptor through poller registration.
+	// in-process socketpairs, "tcp" dials real loopback sockets through
+	// the engine's listener. Either way every drop and re-dial churns a
+	// file descriptor through poller registration.
 	Transport string
 }
 
@@ -156,7 +156,7 @@ type shapedCtx struct {
 // plus at every event boundary.
 type shapedRun struct {
 	name       string
-	transport  string // "" in-process pipes, "tcp" real loopback sockets
+	transport  string // "" in-process socketpairs, "tcp" real loopback sockets
 	engineCfg  core.Config
 	sub        SubConfig // Attach/Histogram filled in by run
 	pub        PubConfig // Attach filled in by run

@@ -1,19 +1,15 @@
-//go:build linux && !nonetpoll
+//go:build linux
 
 package netpoll
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 )
-
-// Supported reports whether this build has a kernel poller.
-func Supported() bool { return true }
 
 // wakeToken is the reserved token carried by the self-pipe's read end.
 const wakeToken = ^uint64(0)
@@ -248,34 +244,4 @@ func (p *Poller) destroy() {
 		p.wakeClosed = true
 	}
 	p.wakeMu.Unlock()
-}
-
-// ReadConn performs one non-blocking read from the connection into buf.
-// again=true means the socket had no data after all (EAGAIN — a
-// spurious or already-consumed readiness event); n==0 with a nil
-// syscall error means the peer closed cleanly, reported as io.EOF.
-func ReadConn(rc syscall.RawConn, buf []byte) (n int, again bool, err error) {
-	var rerr error
-	cerr := rc.Read(func(fd uintptr) bool {
-		for {
-			n, rerr = syscall.Read(int(fd), buf)
-			if rerr == syscall.EINTR {
-				continue
-			}
-			return true // never block in the runtime poller; one attempt only
-		}
-	})
-	if cerr != nil {
-		return 0, false, ErrConnClosed
-	}
-	if rerr == syscall.EAGAIN {
-		return 0, true, nil
-	}
-	if rerr != nil {
-		return 0, false, rerr
-	}
-	if n == 0 {
-		return 0, false, io.EOF
-	}
-	return n, false, nil
 }

@@ -1,4 +1,4 @@
-//go:build linux && !nonetpoll
+//go:build linux
 
 package netpoll
 

@@ -1,16 +1,12 @@
-//go:build darwin && !nonetpoll
+//go:build darwin
 
 package netpoll
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 	"syscall"
 )
-
-// Supported reports whether this build has a kernel poller.
-func Supported() bool { return true }
 
 // Poller wraps a kqueue instance plus a self-pipe used to interrupt
 // Wait. Unlike the epoll Poller, Wait here still blocks its thread in a
@@ -219,31 +215,4 @@ func (p *Poller) destroy() {
 		p.wakeClosed = true
 	}
 	p.wakeMu.Unlock()
-}
-
-// ReadConn performs one non-blocking read; see the linux implementation.
-func ReadConn(rc syscall.RawConn, buf []byte) (n int, again bool, err error) {
-	var rerr error
-	cerr := rc.Read(func(fd uintptr) bool {
-		for {
-			n, rerr = syscall.Read(int(fd), buf)
-			if rerr == syscall.EINTR {
-				continue
-			}
-			return true // one attempt only; never block in the runtime poller
-		}
-	})
-	if cerr != nil {
-		return 0, false, ErrConnClosed
-	}
-	if rerr == syscall.EAGAIN {
-		return 0, true, nil
-	}
-	if rerr != nil {
-		return 0, false, rerr
-	}
-	if n == 0 {
-		return 0, false, io.EOF
-	}
-	return n, false, nil
 }

@@ -1,6 +1,6 @@
 // Package netpoll is the kernel readiness-notification primitive behind
 // the engine's event-driven read path. One Poller multiplexes every
-// fd-backed connection pinned to an IoThread: instead of a blocking
+// connection pinned to an IoThread: instead of a blocking
 // reader goroutine per connection (8 KiB of stack each — the binding
 // constraint on the paper's C10M supplementary experiment), a single
 // poll-loop goroutine per IoThread waits on epoll (linux) or kqueue
@@ -13,9 +13,9 @@
 // most of a delivery's latency. The rule for the delivery path: no
 // goroutine on it enters an unbounded raw blocking syscall.
 //
-// On other platforms, or under the `nonetpoll` build tag, Supported
-// reports false and the engine falls back to goroutine-per-connection
-// reads — the fallback is exercised in CI so it cannot rot.
+// The package builds on linux (tested) and darwin (compile-checked) and
+// nowhere else: every connection the engine serves is a descriptor on a
+// Poller, so a platform without one has no engine.
 //
 // Safety model: callers never hand the Poller a raw integer fd. Add,
 // Del, and ReadConn all take a syscall.RawConn, whose Control/Read
@@ -37,9 +37,6 @@ var (
 	// ErrClosed is returned by Wait after Close: the Poller has released
 	// its kernel resources and will deliver no more events.
 	ErrClosed = errors.New("netpoll: poller closed")
-	// ErrUnsupported is returned by New and ReadConn on platforms (or
-	// builds) without a kernel poller.
-	ErrUnsupported = errors.New("netpoll: not supported on this platform")
 	// ErrConnClosed is returned when a RawConn operation finds the
 	// connection already closed by its owner.
 	ErrConnClosed = errors.New("netpoll: connection closed")

@@ -67,9 +67,6 @@ func waitEvents(p *Poller) <-chan struct {
 }
 
 func TestReadinessAndRead(t *testing.T) {
-	if !Supported() {
-		t.Skip("no kernel poller in this build")
-	}
 	client, server := tcpPair(t)
 	p, err := New()
 	if err != nil {
@@ -122,9 +119,6 @@ func TestReadinessAndRead(t *testing.T) {
 }
 
 func TestWakeInterruptsWait(t *testing.T) {
-	if !Supported() {
-		t.Skip("no kernel poller in this build")
-	}
 	p, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -143,9 +137,6 @@ func TestWakeInterruptsWait(t *testing.T) {
 }
 
 func TestDelStopsEvents(t *testing.T) {
-	if !Supported() {
-		t.Skip("no kernel poller in this build")
-	}
 	client, server := tcpPair(t)
 	p, err := New()
 	if err != nil {
@@ -177,9 +168,6 @@ func TestDelStopsEvents(t *testing.T) {
 }
 
 func TestAddClosedConnFails(t *testing.T) {
-	if !Supported() {
-		t.Skip("no kernel poller in this build")
-	}
 	_, server := tcpPair(t)
 	p, err := New()
 	if err != nil {
@@ -194,9 +182,6 @@ func TestAddClosedConnFails(t *testing.T) {
 }
 
 func TestCloseUnblocksWait(t *testing.T) {
-	if !Supported() {
-		t.Skip("no kernel poller in this build")
-	}
 	p, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +204,6 @@ func TestCloseUnblocksWait(t *testing.T) {
 }
 
 func TestRegistrationChurn(t *testing.T) {
-	if !Supported() {
-		t.Skip("no kernel poller in this build")
-	}
 	p, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +243,6 @@ func TestRegistrationChurn(t *testing.T) {
 // writer on every round: each byte must surface through Wait, however
 // the write lands relative to the goroutine parking.
 func TestWaitLosesNoWakeup(t *testing.T) {
-	if !Supported() {
-		t.Skip("no kernel poller in this build")
-	}
 	client, server := tcpPair(t)
 	p, err := New()
 	if err != nil {

@@ -1,188 +1,20 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"os"
-	"sync"
-	"time"
+	"syscall"
 )
 
-// pipeBufferSize bounds each direction of an in-memory connection. A full
-// buffer blocks the writer, which provides the same backpressure a TCP send
-// buffer would — important because the engine relies on per-client write
-// queues draining into a flow-controlled transport.
-const pipeBufferSize = 64 << 10
-
-// NewPipe returns both ends of a buffered, flow-controlled duplex pipe.
-// Unlike net.Pipe (which is synchronous), writes complete as soon as the
-// peer's receive buffer has room, matching TCP semantics closely enough for
-// the engine and harnesses.
-func NewPipe(aName, bName net.Addr) (a, b net.Conn) {
-	return NewPipeSize(aName, bName, pipeBufferSize)
-}
-
-// NewPipeSize is NewPipe with an explicit per-direction buffer size. Load
-// harnesses opening hundreds of thousands of connections use small buffers
-// (each connection carries ~1 small message per second in the paper's
-// workload); size is clamped to at least 256 bytes.
-func NewPipeSize(aName, bName net.Addr, size int) (a, b net.Conn) {
-	if size < 256 {
-		size = 256
-	}
-	ab := newHalfSize(size) // a writes, b reads
-	ba := newHalfSize(size) // b writes, a reads
-	a = &pipeConn{read: ba, write: ab, local: aName, remote: bName}
-	b = &pipeConn{read: ab, write: ba, local: bName, remote: aName}
-	return a, b
-}
-
-// half is one direction of the pipe: a bounded byte ring with blocking
-// semantics on both ends.
-type half struct {
-	mu       sync.Mutex
-	canRead  *sync.Cond
-	canWrite *sync.Cond
-	buf      []byte
-	start    int // read offset
-	length   int // bytes available
-	closed   bool
-
-	readDeadline  time.Time
-	writeDeadline time.Time
-}
-
-func newHalfSize(size int) *half {
-	h := &half{buf: make([]byte, size)}
-	h.canRead = sync.NewCond(&h.mu)
-	h.canWrite = sync.NewCond(&h.mu)
-	return h
-}
-
-func (h *half) write(p []byte) (int, error) {
-	var written int
-	for len(p) > 0 {
-		h.mu.Lock()
-		for h.length == len(h.buf) && !h.closed && !h.deadlineExceeded(h.writeDeadline) {
-			h.waitWithDeadline(h.canWrite, h.writeDeadline)
-		}
-		if h.closed {
-			h.mu.Unlock()
-			return written, ErrClosed
-		}
-		if h.deadlineExceeded(h.writeDeadline) {
-			h.mu.Unlock()
-			return written, os.ErrDeadlineExceeded
-		}
-		n := h.copyIn(p)
-		h.mu.Unlock()
-		h.canRead.Signal()
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// copyIn copies as much of p as fits into the ring. Caller holds h.mu.
-func (h *half) copyIn(p []byte) int {
-	total := 0
-	for len(p) > 0 && h.length < len(h.buf) {
-		end := (h.start + h.length) % len(h.buf)
-		span := len(h.buf) - end
-		if free := len(h.buf) - h.length; span > free {
-			span = free
-		}
-		n := copy(h.buf[end:end+span], p)
-		h.length += n
-		p = p[n:]
-		total += n
-	}
-	return total
-}
-
-func (h *half) read(p []byte) (int, error) {
-	h.mu.Lock()
-	for h.length == 0 && !h.closed && !h.deadlineExceeded(h.readDeadline) {
-		h.waitWithDeadline(h.canRead, h.readDeadline)
-	}
-	if h.length == 0 {
-		defer h.mu.Unlock()
-		if h.closed {
-			return 0, net.ErrClosed // EOF-like: peer gone and buffer drained
-		}
-		return 0, os.ErrDeadlineExceeded
-	}
-	total := 0
-	for len(p) > 0 && h.length > 0 {
-		span := len(h.buf) - h.start
-		if span > h.length {
-			span = h.length
-		}
-		n := copy(p, h.buf[h.start:h.start+span])
-		h.start = (h.start + n) % len(h.buf)
-		h.length -= n
-		p = p[n:]
-		total += n
-	}
-	h.mu.Unlock()
-	h.canWrite.Signal()
-	return total, nil
-}
-
-// waitWithDeadline waits on cond, arranging a wakeup at the deadline if one
-// is set. Caller holds h.mu.
-func (h *half) waitWithDeadline(cond *sync.Cond, deadline time.Time) {
-	if deadline.IsZero() {
-		cond.Wait()
-		return
-	}
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
-		return
-	}
-	t := time.AfterFunc(remaining, func() {
-		// Wake everyone so the deadline check re-runs.
-		h.canRead.Broadcast()
-		h.canWrite.Broadcast()
-	})
-	cond.Wait()
-	t.Stop()
-}
-
-func (h *half) deadlineExceeded(d time.Time) bool {
-	return !d.IsZero() && time.Now().After(d)
-}
-
-func (h *half) close() {
-	h.mu.Lock()
-	h.closed = true
-	h.mu.Unlock()
-	h.canRead.Broadcast()
-	h.canWrite.Broadcast()
-}
-
-// pipeConn is one endpoint of the duplex pipe; it implements net.Conn.
+// pipeConn is one end of an in-process connection: a connected AF_UNIX
+// stream socket. Everything but the names is the embedded UnixConn's —
+// SyscallConn (so the engine's poller takes it like any accepted socket),
+// deadlines, writev and flow control are the kernel's and the runtime's.
+// A socketpair is unnamed, so the names the caller chose stand in.
 type pipeConn struct {
-	read   *half
-	write  *half
-	local  net.Addr
-	remote net.Addr
-	once   sync.Once
-}
-
-// Read implements net.Conn.
-func (c *pipeConn) Read(p []byte) (int, error) { return c.read.read(p) }
-
-// Write implements net.Conn.
-func (c *pipeConn) Write(p []byte) (int, error) { return c.write.write(p) }
-
-// Close implements net.Conn. Closing either end tears down both directions,
-// like closing a TCP socket.
-func (c *pipeConn) Close() error {
-	c.once.Do(func() {
-		c.read.close()
-		c.write.close()
-	})
-	return nil
+	*net.UnixConn
+	local, remote net.Addr
 }
 
 // LocalAddr implements net.Conn.
@@ -191,28 +23,64 @@ func (c *pipeConn) LocalAddr() net.Addr { return c.local }
 // RemoteAddr implements net.Conn.
 func (c *pipeConn) RemoteAddr() net.Addr { return c.remote }
 
-// SetDeadline implements net.Conn.
-func (c *pipeConn) SetDeadline(t time.Time) error {
-	if err := c.SetReadDeadline(t); err != nil {
-		return err
+// NewPipe returns both ends of an in-process duplex connection with the
+// kernel's default socket buffers. It costs two file descriptors.
+func NewPipe(aName, bName net.Addr) (a, b net.Conn, err error) {
+	return NewPipeSize(aName, bName, 0)
+}
+
+// NewPipeSize is NewPipe asking the kernel for size bytes of socket buffer
+// per direction (size <= 0 keeps the default). Load harnesses opening
+// thousands of connections ask for small ones — each connection carries ~1
+// small message per second in the paper's workload. The kernel rounds the
+// request to its own floor and bookkeeping; SO_SNDBUF read back from the
+// socket is the truth.
+func NewPipeSize(aName, bName net.Addr, size int) (a, b net.Conn, err error) {
+	// No SOCK_CLOEXEC on darwin: the fork lock keeps a concurrent exec from
+	// inheriting the pair before the flag is set. net.FileConn duplicates
+	// each descriptor (close-on-exec, non-blocking) into the runtime poller.
+	syscall.ForkLock.RLock()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	if err == nil {
+		syscall.CloseOnExec(fds[0])
+		syscall.CloseOnExec(fds[1])
 	}
-	return c.SetWriteDeadline(t)
+	syscall.ForkLock.RUnlock()
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: socketpair: %w", err)
+	}
+	fa, fb := os.NewFile(uintptr(fds[0]), "inproc"), os.NewFile(uintptr(fds[1]), "inproc")
+	defer fa.Close()
+	defer fb.Close()
+	ea, err := pipeEnd(fa, aName, bName, size)
+	if err != nil {
+		return nil, nil, err
+	}
+	eb, err := pipeEnd(fb, bName, aName, size)
+	if err != nil {
+		ea.Close()
+		return nil, nil, err
+	}
+	return ea, eb, nil
 }
 
-// SetReadDeadline implements net.Conn.
-func (c *pipeConn) SetReadDeadline(t time.Time) error {
-	c.read.mu.Lock()
-	c.read.readDeadline = t
-	c.read.mu.Unlock()
-	c.read.canRead.Broadcast()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn.
-func (c *pipeConn) SetWriteDeadline(t time.Time) error {
-	c.write.mu.Lock()
-	c.write.writeDeadline = t
-	c.write.mu.Unlock()
-	c.write.canWrite.Broadcast()
-	return nil
+// pipeEnd wraps one descriptor of the pair as a named, sized net.Conn.
+func pipeEnd(f *os.File, local, remote net.Addr, size int) (*pipeConn, error) {
+	c, err := net.FileConn(f)
+	if err != nil {
+		return nil, fmt.Errorf("transport: inproc conn: %w", err)
+	}
+	uc := c.(*net.UnixConn) // what FileConn returns for an AF_UNIX stream socket
+	if size > 0 {
+		// Which of the two bounds a direction differs by platform (linux
+		// charges the sender's, darwin the receiver's), so set both.
+		if err = uc.SetWriteBuffer(size); err == nil {
+			err = uc.SetReadBuffer(size)
+		}
+		if err != nil {
+			uc.Close()
+			return nil, fmt.Errorf("transport: inproc buffer size: %w", err)
+		}
+	}
+	return &pipeConn{UnixConn: uc, local: local, remote: remote}, nil
 }

@@ -14,11 +14,14 @@ import (
 func TestPipeStreamIntegrity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, bufSize := range []int{256, 1024, 4096, 64 << 10} {
-		a, b := NewPipeSize(
+		a, b, err := NewPipeSize(
 			Addr{Net: "inproc", Address: "w"},
 			Addr{Net: "inproc", Address: "r"},
 			bufSize,
 		)
+		if err != nil {
+			t.Fatal(err)
+		}
 		total := 256 * 1024
 		data := make([]byte, total)
 		rng.Read(data)
@@ -39,7 +42,7 @@ func TestPipeStreamIntegrity(t *testing.T) {
 		}(a, data)
 
 		got, err := io.ReadAll(b)
-		if err != nil && err != net.ErrClosed {
+		if err != nil {
 			t.Fatalf("buf %d: %v", bufSize, err)
 		}
 		if !bytes.Equal(got, data) {
@@ -49,15 +52,22 @@ func TestPipeStreamIntegrity(t *testing.T) {
 	}
 }
 
-// TestPipeTinyBufferClamped verifies the minimum buffer clamp.
-func TestPipeTinyBufferClamped(t *testing.T) {
-	a, b := NewPipeSize(
-		Addr{Net: "inproc", Address: "w"},
-		Addr{Net: "inproc", Address: "r"},
-		1, // clamped to 256
-	)
+// TestPipeSizeReachesSocket verifies the requested size is applied to the
+// socket (read back smaller than the default) and that a request below the
+// kernel's floor is rounded up, not refused.
+func TestPipeSizeReachesSocket(t *testing.T) {
+	def, peer := newTestPipe(t, "w", "r")
+	defer def.Close()
+	defer peer.Close()
+	a, b, err := NewPipeSize(Addr{"inproc", "w"}, Addr{"inproc", "r"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer a.Close()
 	defer b.Close()
+	if small, dflt := sendBuffer(t, a), sendBuffer(t, def); small <= 0 || small >= dflt {
+		t.Fatalf("SO_SNDBUF = %d after asking for 1, default %d", small, dflt)
+	}
 	msg := bytes.Repeat([]byte{7}, 200)
 	go a.Write(msg)
 	got := make([]byte, 200)
@@ -65,17 +75,14 @@ func TestPipeTinyBufferClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, msg) {
-		t.Fatal("clamped pipe corrupted data")
+		t.Fatal("smallest pipe corrupted data")
 	}
 }
 
 // TestPipeBidirectionalConcurrent exercises simultaneous traffic in both
 // directions (the engine reads and writes concurrently on every client).
 func TestPipeBidirectionalConcurrent(t *testing.T) {
-	a, b := NewPipe(
-		Addr{Net: "inproc", Address: "x"},
-		Addr{Net: "inproc", Address: "y"},
-	)
+	a, b := newTestPipe(t, "x", "y")
 	defer a.Close()
 	defer b.Close()
 	const total = 1 << 20

@@ -2,15 +2,19 @@
 // engine so the same code path serves real TCP sockets and in-process
 // connections. The paper's evaluation opens up to one million real
 // WebSocket/TCP connections on 10 GbE hardware; in this reproduction the
-// "inproc" network provides a buffered, flow-controlled, net.Conn-compatible
-// duplex pipe so benchmark harnesses can open hundreds of thousands of
-// connections without hitting file-descriptor limits, while the engine code
-// (decode → worker → match → cache → encode) is byte-for-byte identical on
-// both transports.
+// "inproc" network connects the two ends with an AF_UNIX socketpair, so an
+// in-process connection is a descriptor like any accepted socket: the
+// engine registers it with the same kernel poller and reads it through the
+// same code, and tests and harnesses run the production connection path
+// without a listener or the loopback TCP stack.
+//
+// The price is the descriptor budget: an in-process connection costs two
+// file descriptors (one per end, both in this process), so a harness
+// opening N of them needs RLIMIT_NOFILE above 2N.
 //
 // Networks:
 //   - "tcp": delegates to the net package.
-//   - "inproc": in-memory, with a process-global address registry.
+//   - "inproc": socketpair-backed, with a process-global address registry.
 package transport
 
 import (
@@ -24,7 +28,6 @@ import (
 var (
 	ErrAddrInUse    = errors.New("transport: inproc address already in use")
 	ErrNoListener   = errors.New("transport: no inproc listener at address")
-	ErrClosed       = errors.New("transport: use of closed connection")
 	ErrListenClosed = errors.New("transport: listener closed")
 )
 
@@ -58,7 +61,7 @@ var registry = struct {
 	m map[string]*inprocListener
 }{m: make(map[string]*inprocListener)}
 
-// inprocListener accepts in-memory connections for one address.
+// inprocListener accepts in-process connections for one address.
 type inprocListener struct {
 	addr    string
 	backlog chan net.Conn
@@ -88,10 +91,13 @@ func dialInproc(addr string) (net.Conn, error) {
 	if l == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoListener, addr)
 	}
-	client, server := NewPipe(
+	client, server, err := NewPipe(
 		Addr{Net: "inproc", Address: "dialer->" + addr},
 		Addr{Net: "inproc", Address: addr},
 	)
+	if err != nil {
+		return nil, err
+	}
 	select {
 	case l.backlog <- server:
 		return client, nil

@@ -2,11 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -102,13 +104,44 @@ func TestUnknownNetwork(t *testing.T) {
 	}
 }
 
+// newTestPipe is NewPipe failing the test on a socketpair error.
+func newTestPipe(t testing.TB, aName, bName string) (a, b net.Conn) {
+	t.Helper()
+	a, b, err := NewPipe(Addr{"inproc", aName}, Addr{"inproc", bName})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// sendBuffer reads SO_SNDBUF back from the socket — the kernel's answer,
+// not the request — so "more than fits" is sized from the real bound.
+func sendBuffer(t testing.TB, c net.Conn) int {
+	t.Helper()
+	rc, err := c.(syscall.Conn).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int
+	var serr error
+	if err := rc.Control(func(fd uintptr) {
+		size, serr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	return size
+}
+
 func TestPipeLargeTransfer(t *testing.T) {
-	a, b := NewPipe(Addr{"inproc", "a"}, Addr{"inproc", "b"})
+	a, b := newTestPipe(t, "a", "b")
 	defer a.Close()
 	defer b.Close()
 
-	// 4 MB >> pipeBufferSize: exercises wrap-around and backpressure.
-	data := make([]byte, 4<<20)
+	// Far more than the socket buffer holds: exercises backpressure.
+	data := make([]byte, 4<<20+sendBuffer(t, a))
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
@@ -117,7 +150,7 @@ func TestPipeLargeTransfer(t *testing.T) {
 		a.Close()
 	}()
 	got, err := io.ReadAll(b)
-	if err != nil && err != net.ErrClosed {
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -126,7 +159,7 @@ func TestPipeLargeTransfer(t *testing.T) {
 }
 
 func TestPipeCloseUnblocksReader(t *testing.T) {
-	a, b := NewPipe(Addr{"inproc", "a"}, Addr{"inproc", "b"})
+	a, b := newTestPipe(t, "a", "b")
 	errc := make(chan error, 1)
 	go func() {
 		buf := make([]byte, 1)
@@ -146,10 +179,10 @@ func TestPipeCloseUnblocksReader(t *testing.T) {
 }
 
 func TestPipeCloseUnblocksWriter(t *testing.T) {
-	a, b := NewPipe(Addr{"inproc", "a"}, Addr{"inproc", "b"})
+	a, b := newTestPipe(t, "a", "b")
 	errc := make(chan error, 1)
 	go func() {
-		big := make([]byte, pipeBufferSize*2)
+		big := make([]byte, 2*sendBuffer(t, a))
 		_, err := a.Write(big) // must block: nobody reads
 		errc <- err
 	}()
@@ -166,14 +199,14 @@ func TestPipeCloseUnblocksWriter(t *testing.T) {
 }
 
 func TestPipeReadDeadline(t *testing.T) {
-	a, b := NewPipe(Addr{"inproc", "a"}, Addr{"inproc", "b"})
+	a, b := newTestPipe(t, "a", "b")
 	defer a.Close()
 	defer b.Close()
 	b.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
 	buf := make([]byte, 1)
 	start := time.Now()
 	_, err := b.Read(buf)
-	if err != os.ErrDeadlineExceeded {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	if time.Since(start) > time.Second {
@@ -182,24 +215,24 @@ func TestPipeReadDeadline(t *testing.T) {
 }
 
 func TestPipeWriteDeadline(t *testing.T) {
-	a, b := NewPipe(Addr{"inproc", "a"}, Addr{"inproc", "b"})
+	a, b := newTestPipe(t, "a", "b")
 	defer a.Close()
 	defer b.Close()
 	a.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
-	big := make([]byte, pipeBufferSize*2)
+	big := make([]byte, 2*sendBuffer(t, a))
 	_, err := a.Write(big)
-	if err != os.ErrDeadlineExceeded {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
 
 func TestPipeDeadlineClearedAllowsRead(t *testing.T) {
-	a, b := NewPipe(Addr{"inproc", "a"}, Addr{"inproc", "b"})
+	a, b := newTestPipe(t, "a", "b")
 	defer a.Close()
 	defer b.Close()
 	b.SetDeadline(time.Now().Add(-time.Second)) // already expired
 	buf := make([]byte, 1)
-	if _, err := b.Read(buf); err != os.ErrDeadlineExceeded {
+	if _, err := b.Read(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}
 	b.SetDeadline(time.Time{}) // clear
@@ -210,7 +243,7 @@ func TestPipeDeadlineClearedAllowsRead(t *testing.T) {
 }
 
 func TestPipeAddrs(t *testing.T) {
-	a, b := NewPipe(Addr{"inproc", "alpha"}, Addr{"inproc", "beta"})
+	a, b := newTestPipe(t, "alpha", "beta")
 	defer a.Close()
 	defer b.Close()
 	if a.LocalAddr().String() != "alpha" || a.RemoteAddr().String() != "beta" {
@@ -306,7 +339,7 @@ func TestTCPTransport(t *testing.T) {
 }
 
 func BenchmarkPipeThroughput(b *testing.B) {
-	x, y := NewPipe(Addr{"inproc", "a"}, Addr{"inproc", "b"})
+	x, y := newTestPipe(b, "a", "b")
 	defer x.Close()
 	defer y.Close()
 	chunk := make([]byte, 4096)

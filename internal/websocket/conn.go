@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -67,21 +66,11 @@ type Conn struct {
 
 	maxMessage int
 
-	// payloadAlloc, when set, allocates the buffers data-frame payloads are
-	// read into (the engine installs a pool allocator here). The buffer is
-	// handed to the ReadMessage caller, which takes ownership; control-frame
-	// payloads stay on plain make because they die inside the read loop.
-	payloadAlloc func(int) []byte
-
 	rng   *rand.Rand
 	rngMu sync.Mutex
 
 	closeMu   sync.Mutex
 	closeSent bool
-
-	// fragmented-message reassembly state (reader-side, single reader)
-	fragOp  Opcode
-	fragBuf []byte
 }
 
 // newConn wraps nc. Used by the handshake functions.
@@ -105,105 +94,8 @@ func (c *Conn) SetMaxMessageSize(n int) {
 	}
 }
 
-// SetPayloadAlloc installs fn as the allocator for data-message payload
-// buffers returned by ReadMessage. Callers that install a pool allocator
-// take responsibility for recycling the returned payloads. fn must return a
-// buffer of exactly the requested length.
-func (c *Conn) SetPayloadAlloc(fn func(int) []byte) { c.payloadAlloc = fn }
-
-// allocPayload returns a buffer for an n-byte data payload.
-func (c *Conn) allocPayload(n int) []byte {
-	if c.payloadAlloc != nil {
-		return c.payloadAlloc(n)
-	}
-	return make([]byte, n)
-}
-
 // NetConn returns the underlying transport connection.
 func (c *Conn) NetConn() net.Conn { return c.conn }
-
-// ReadMessage returns the next complete data message, transparently
-// answering pings with pongs and completing the close handshake. It returns
-// *CloseError once a close frame is received.
-func (c *Conn) ReadMessage() (Opcode, []byte, error) {
-	for {
-		c.flushControlCarry()
-		h, err := readFrameHeader(c.br)
-		if err != nil {
-			return 0, nil, err
-		}
-		if c.isServer && !h.masked {
-			return 0, nil, ErrUnmaskedClient
-		}
-		if !c.isServer && h.masked {
-			return 0, nil, ErrMaskedServer
-		}
-		if h.length > int64(c.maxMessage) {
-			c.writeClose(CloseMessageTooBig, "message too big")
-			return 0, nil, ErrMessageTooLarge
-		}
-		// Only unfragmented data payloads use the installed allocator: they
-		// are handed to the caller, who owns (and may recycle) them. Control
-		// payloads die inside this loop, and fragment payloads feed the
-		// reassembly buffer (whose growth would abandon a pooled array), so
-		// pooling either would leak pool slots.
-		var payload []byte
-		if h.fin && (h.opcode == OpText || h.opcode == OpBinary) {
-			payload = c.allocPayload(int(h.length))
-		} else {
-			payload = make([]byte, h.length)
-		}
-		if _, err := io.ReadFull(c.br, payload); err != nil {
-			return 0, nil, err
-		}
-		if h.masked {
-			applyMask(payload, h.mask, 0)
-		}
-
-		switch h.opcode {
-		case OpPing:
-			// RFC 6455 §5.5.3: respond with a pong carrying the same data.
-			if err := c.WriteControl(OpPong, payload); err != nil {
-				return 0, nil, err
-			}
-			continue
-		case OpPong:
-			continue // unsolicited pongs are ignored
-		case OpClose:
-			code := CloseNoStatusRcvd
-			reason := ""
-			if len(payload) >= 2 {
-				code = int(binary.BigEndian.Uint16(payload))
-				reason = string(payload[2:])
-			}
-			c.writeClose(CloseNormal, "") // echo close if we haven't sent one
-			return 0, nil, &CloseError{Code: code, Reason: reason}
-		case OpContinuation:
-			if c.fragBuf == nil {
-				return 0, nil, errBadContinuation
-			}
-			if len(c.fragBuf)+len(payload) > c.maxMessage {
-				c.writeClose(CloseMessageTooBig, "message too big")
-				return 0, nil, ErrMessageTooLarge
-			}
-			c.fragBuf = append(c.fragBuf, payload...)
-			if h.fin {
-				op, msg := c.fragOp, c.fragBuf
-				c.fragOp, c.fragBuf = 0, nil
-				return op, msg, nil
-			}
-		case OpText, OpBinary:
-			if c.fragBuf != nil {
-				return 0, nil, errExpectedContinue
-			}
-			if h.fin {
-				return h.opcode, payload, nil
-			}
-			c.fragOp = h.opcode
-			c.fragBuf = payload
-		}
-	}
-}
 
 // WriteMessage sends one unfragmented data message.
 func (c *Conn) WriteMessage(op Opcode, payload []byte) error {
@@ -386,7 +278,7 @@ func (c *Conn) FlushStalled(probe time.Duration) (int64, error) {
 }
 
 // flushControlCarry opportunistically drains carry that holds ONLY control
-// frames. The read loop calls it per inbound frame: control carry is not
+// frames. The StreamReader calls it on every Feed: control carry is not
 // budget-charged and the engine's stalled-retry machinery does not know
 // about it (it only tracks clients with engine egress traffic), so the
 // reader is its drain driver — a withheld pong goes out as soon as the

@@ -3,21 +3,26 @@ package websocket
 import (
 	"bytes"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
-
-	"migratorydata/internal/transport"
 )
 
-// stallPair returns a connected pair over a deliberately tiny pipe, so the
-// server's writes stall as soon as the client stops reading.
-func stallPair(t *testing.T, pipeBuffer int) (client, server *Conn) {
+// stallPair returns a connected pair over the smallest socket buffers the
+// kernel grants, so the server's writes stall soon after the client stops
+// reading, and the server's send-buffer size as the kernel reports it.
+func stallPair(t *testing.T) (client, server *Conn, sndbuf int) {
 	t.Helper()
-	a, b := transport.NewPipeSize(
-		transport.Addr{Net: "inproc", Address: "ws-client"},
-		transport.Addr{Net: "inproc", Address: "ws-server"},
-		pipeBuffer,
-	)
+	a, b := testPipe(t, 1)
+	rc, err := b.(syscall.Conn).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cerr := rc.Control(func(fd uintptr) {
+		sndbuf, err = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF)
+	}); cerr != nil || err != nil {
+		t.Fatalf("SO_SNDBUF: %v %v", cerr, err)
+	}
 	var wg sync.WaitGroup
 	var serr error
 	wg.Add(1)
@@ -34,7 +39,7 @@ func stallPair(t *testing.T, pipeBuffer int) (client, server *Conn) {
 		c.Close()
 		server.Close()
 	})
-	return c, server
+	return c, server, sndbuf
 }
 
 // TestControlCarryBoundedAndReaderDrained proves the two control-frame
@@ -45,20 +50,21 @@ func stallPair(t *testing.T, pipeBuffer int) (client, server *Conn) {
 // the read loop flushes it as soon as the peer talks again and the
 // transport has room.
 func TestControlCarryBoundedAndReaderDrained(t *testing.T) {
-	client, server := stallPair(t, 256)
+	client, server, sndbuf := stallPair(t)
 	server.SetWriteStall(time.Millisecond)
 
 	// Server read loop: answers every ping with a pong (stall-aware, so it
 	// never blocks on the full peer).
 	readDone := make(chan error, 1)
 	go func() {
-		_, _, err := server.ReadMessage()
+		_, err := newMsgReader(server).next(1)
 		readDone <- err
 	}()
 
-	// Flood pings without reading: the server's pongs fill the tiny pipe,
-	// then the carry — which must stay bounded.
-	for i := 0; i < 500; i++ {
+	// Flood pings without reading: the server's pongs (12 wire bytes each)
+	// fill the socket buffer, then the carry — which must stay bounded. 500
+	// more than the buffer could hold overrun the cap several times.
+	for i := 0; i < 500+sndbuf/12; i++ {
 		if err := client.WriteControl(OpPing, []byte("0123456789")); err != nil {
 			t.Fatal(err)
 		}
@@ -74,13 +80,7 @@ func TestControlCarryBoundedAndReaderDrained(t *testing.T) {
 
 	// The peer starts reading (drain pongs) and keeps pinging: the server
 	// read loop must flush the withheld pongs without any engine traffic.
-	go func() {
-		for {
-			if _, _, err := client.ReadMessage(); err != nil {
-				return
-			}
-		}
-	}()
+	go newMsgReader(client).next(1) // only pongs arrive: returns when the conn closes
 	pinger := time.NewTicker(5 * time.Millisecond)
 	defer pinger.Stop()
 	deadline := time.After(5 * time.Second)
@@ -100,14 +100,14 @@ func TestControlCarryBoundedAndReaderDrained(t *testing.T) {
 // behind it in order, and once the reader drains, retried flushes deliver
 // every message intact.
 func TestWriteStallCarriesAndFlushes(t *testing.T) {
-	client, server := stallPair(t, 256)
+	client, server, sndbuf := stallPair(t)
 	server.SetWriteStall(time.Millisecond)
 
-	// Two messages, both far larger than the transport buffer: the first
-	// write must carry a remainder instead of blocking, the second must
-	// append behind it.
-	msgA := bytes.Repeat([]byte("a"), 1024)
-	msgB := bytes.Repeat([]byte("b"), 512)
+	// Two messages, both larger than the transport buffer: the first write
+	// must carry a remainder instead of blocking, the second must append
+	// behind it.
+	msgA := bytes.Repeat([]byte("a"), 4*sndbuf)
+	msgB := bytes.Repeat([]byte("b"), 2*sndbuf)
 	start := time.Now()
 	if err := server.WriteMessage(OpBinary, msgA); err != nil {
 		t.Fatal(err)
@@ -141,11 +141,12 @@ func TestWriteStallCarriesAndFlushes(t *testing.T) {
 			t.Error("FlushStalled reported zero bytes written across the drain")
 		}
 	}()
+	r := newMsgReader(client)
 	for _, want := range [][]byte{msgA, msgB} {
-		op, got, err := client.ReadMessage()
-		if err != nil || op != OpBinary || !bytes.Equal(got, want) {
-			t.Fatalf("read: op=%v err=%v len=%d want len=%d (first byte %q)",
-				op, err, len(got), len(want), want[0])
+		got, err := r.next(len(want))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read: err=%v len=%d want len=%d (first byte %q)",
+				err, len(got), len(want), want[0])
 		}
 	}
 	select {

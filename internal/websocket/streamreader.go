@@ -9,17 +9,16 @@ import (
 // length bytes, 4 mask bytes.
 const maxFrameHeader = 2 + 8 + 4
 
-// StreamReader is the push-based counterpart of ReadMessage for the
-// engine's readiness read path: instead of blocking on the transport, it
-// is fed whatever bytes one wakeup produced and emits the data-frame
-// payload bytes decoded so far. A WebSocket frame may arrive split
-// across arbitrarily many wakeups — header bytes accumulate in a fixed
-// scratch, payload bytes stream out as they appear (the engine's
-// length-prefixed protocol decoder reassembles its own messages, so
-// WebSocket message boundaries need not be preserved). Control frames
-// are handled exactly like ReadMessage: pings answered with pongs,
-// pongs ignored, close completing the handshake and surfacing as
-// *CloseError.
+// StreamReader is the connection's deframer, push-based for the engine's
+// readiness read path: it never touches the transport, it is fed whatever
+// bytes one wakeup (or, on a client, one blocking Read) produced and emits
+// the data-frame payload bytes decoded so far. A WebSocket frame may
+// arrive split across arbitrarily many wakeups — header bytes accumulate
+// in a fixed scratch, payload bytes stream out as they appear (the
+// engine's length-prefixed protocol decoder reassembles its own messages,
+// so WebSocket message boundaries need not be preserved). Control frames
+// are handled here: pings answered with pongs, pongs ignored, close
+// completing the handshake and surfacing as *CloseError.
 //
 // Each emitted chunk is a fresh buffer from the allocator (never an
 // alias of the fed bytes), already unmasked; ownership passes to emit.
@@ -86,9 +85,8 @@ func (r *StreamReader) Feed(data []byte, emit func(chunk []byte)) error {
 	if r.err != nil {
 		return r.err
 	}
-	// The reader is this connection's control-carry drain driver, exactly
-	// like the blocking loop: a withheld pong goes out as soon as the peer
-	// talks to us again.
+	// The reader is this connection's control-carry drain driver: a
+	// withheld pong goes out as soon as the peer talks to us again.
 	r.c.flushControlCarry()
 	for len(data) > 0 {
 		if !r.inPayload {

@@ -7,8 +7,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"migratorydata/internal/transport"
 )
 
 // maskedFrame builds one client→server wire frame.
@@ -25,11 +23,7 @@ func maskedFrame(fin bool, op Opcode, payload []byte) []byte {
 // test writes raw bytes into / reads replies from.
 func streamPair(t *testing.T) (server *Conn, peer io.ReadWriteCloser) {
 	t.Helper()
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "sr-peer"},
-		transport.Addr{Net: "inproc", Address: "sr-server"},
-	)
-	t.Cleanup(func() { a.Close(); b.Close() })
+	a, b := testPipe(t, 0)
 	return newConn(b, nil, true), a
 }
 
@@ -159,11 +153,7 @@ func TestStreamReaderCumulativeSizeLimit(t *testing.T) {
 func TestStreamReaderFeedBuffered(t *testing.T) {
 	// Frames pipelined behind the handshake sit in the bufio.Reader; the
 	// poller never sees them as socket readiness.
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "srb-peer"},
-		transport.Addr{Net: "inproc", Address: "srb-server"},
-	)
-	t.Cleanup(func() { a.Close(); b.Close() })
+	_, b := testPipe(t, 0)
 	wire := maskedFrame(true, OpBinary, []byte("pipelined"))
 	br := bufio.NewReader(io.MultiReader(bytes.NewReader(wire), b))
 	server := newConn(b, br, true)

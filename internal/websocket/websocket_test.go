@@ -3,6 +3,7 @@ package websocket
 import (
 	"bytes"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -10,13 +11,69 @@ import (
 	"migratorydata/internal/transport"
 )
 
+// testPipe returns both ends of an inproc connection of the given socket
+// buffer size (0: the kernel's default), closed with the test.
+func testPipe(t testing.TB, size int) (a, b net.Conn) {
+	t.Helper()
+	a, b, err := transport.NewPipeSize(
+		transport.Addr{Net: "inproc", Address: "ws-client"},
+		transport.Addr{Net: "inproc", Address: "ws-server"},
+		size,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close(); b.Close() })
+	return a, b
+}
+
+// msgReader is the tests' blocking read side of a Conn, built on the one
+// deframer there is: a blocking transport Read, then Feed — how
+// client/session.go and benchmark/conn.go drive it. A StreamReader streams
+// payload bytes and keeps no message boundaries, so a test asks for the
+// bytes it expects.
+type msgReader struct {
+	c       *Conn
+	sr      *StreamReader
+	pending []byte // deframed payload not yet handed out
+	err     error  // terminal error, reported once pending runs short
+	buf     [4096]byte
+}
+
+func newMsgReader(c *Conn) *msgReader {
+	return &msgReader{c: c, sr: c.NewStreamReader(nil)}
+}
+
+func (r *msgReader) emit(chunk []byte) { r.pending = append(r.pending, chunk...) }
+
+// next returns the next n payload bytes, reading as long as it takes.
+// Control frames are handled inside Feed (a ping is answered, a close
+// surfaces as *CloseError), so next(1) on a peer that only pings blocks.
+func (r *msgReader) next(n int) ([]byte, error) {
+	for len(r.pending) < n {
+		if r.err != nil {
+			return nil, r.err
+		}
+		if r.err = r.sr.FeedBuffered(r.emit); r.err != nil {
+			continue
+		}
+		k, err := r.c.conn.Read(r.buf[:])
+		if k > 0 {
+			if ferr := r.sr.Feed(r.buf[:k], r.emit); ferr != nil {
+				err = ferr
+			}
+		}
+		r.err = err
+	}
+	out := r.pending[:n:n]
+	r.pending = r.pending[n:]
+	return out, nil
+}
+
 // pair returns a connected client/server WebSocket pair over an inproc pipe.
 func pair(t *testing.T) (client, server *Conn) {
 	t.Helper()
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "ws-client"},
-		transport.Addr{Net: "inproc", Address: "ws-server"},
-	)
+	a, b := testPipe(t, 0)
 	var wg sync.WaitGroup
 	var serr error
 	wg.Add(1)
@@ -42,29 +99,30 @@ func TestHandshakeAndEcho(t *testing.T) {
 	if err := client.WriteMessage(OpBinary, msg); err != nil {
 		t.Fatal(err)
 	}
-	op, got, err := server.ReadMessage()
-	if err != nil || op != OpBinary || !bytes.Equal(got, msg) {
-		t.Fatalf("server read: %v %q %v", op, got, err)
+	got, err := newMsgReader(server).next(len(msg))
+	if err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("server read: %q %v", got, err)
 	}
 	if err := server.WriteMessage(OpText, []byte("reply")); err != nil {
 		t.Fatal(err)
 	}
-	op, got, err = client.ReadMessage()
-	if err != nil || op != OpText || string(got) != "reply" {
-		t.Fatalf("client read: %v %q %v", op, got, err)
+	got, err = newMsgReader(client).next(len("reply"))
+	if err != nil || string(got) != "reply" {
+		t.Fatalf("client read: %q %v", got, err)
 	}
 }
 
 func TestLargeMessageExtendedLength(t *testing.T) {
 	client, server := pair(t)
+	r := newMsgReader(server)
 	// >64KB forces the 8-byte extended length; >125 forces the 2-byte one.
 	for _, size := range []int{126, 65535, 65536, 1 << 20} {
 		msg := bytes.Repeat([]byte{byte(size)}, size)
-		// Write from a goroutine: messages larger than the pipe buffer
+		// Write from a goroutine: messages larger than the socket buffer
 		// need the reader draining concurrently.
 		writeErr := make(chan error, 1)
 		go func() { writeErr <- client.WriteMessage(OpBinary, msg) }()
-		_, got, err := server.ReadMessage()
+		got, err := r.next(size)
 		if werr := <-writeErr; werr != nil {
 			t.Fatal(werr)
 		}
@@ -83,7 +141,7 @@ func TestMaskingRoundTrip(t *testing.T) {
 		msg[i] = byte(i * 7)
 	}
 	client.WriteMessage(OpBinary, msg)
-	_, got, err := server.ReadMessage()
+	got, err := newMsgReader(server).next(len(msg))
 	if err != nil || !bytes.Equal(got, msg) {
 		t.Fatalf("masked round trip failed: %v", err)
 	}
@@ -94,18 +152,18 @@ func TestPingAutoPong(t *testing.T) {
 	if err := client.WriteControl(OpPing, []byte("alive?")); err != nil {
 		t.Fatal(err)
 	}
-	// Server's next ReadMessage auto-pongs; give it a data message so the
-	// call returns.
+	// The server's deframer auto-pongs; give it a data message so the read
+	// returns.
 	go func() {
 		client.WriteMessage(OpBinary, []byte("data"))
 	}()
-	_, got, err := server.ReadMessage()
+	got, err := newMsgReader(server).next(len("data"))
 	if err != nil || string(got) != "data" {
 		t.Fatalf("server read after ping: %q %v", got, err)
 	}
 	// Client should now find the pong transparently skipped too.
 	go server.WriteMessage(OpBinary, []byte("data2"))
-	_, got, err = client.ReadMessage()
+	got, err = newMsgReader(client).next(len("data2"))
 	if err != nil || string(got) != "data2" {
 		t.Fatalf("client read after pong: %q %v", got, err)
 	}
@@ -114,7 +172,7 @@ func TestPingAutoPong(t *testing.T) {
 func TestCloseHandshake(t *testing.T) {
 	client, server := pair(t)
 	go client.CloseWithCode(CloseGoingAway, "bye")
-	_, _, err := server.ReadMessage()
+	_, err := newMsgReader(server).next(1)
 	var ce *CloseError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want CloseError", err)
@@ -128,12 +186,7 @@ func TestCloseHandshake(t *testing.T) {
 }
 
 func TestServerRejectsUnmaskedClientFrame(t *testing.T) {
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "c"},
-		transport.Addr{Net: "inproc", Address: "s"},
-	)
-	defer a.Close()
-	defer b.Close()
+	a, b := testPipe(t, 0)
 	var wg sync.WaitGroup
 	var server *Conn
 	wg.Add(1)
@@ -150,7 +203,7 @@ func TestServerRejectsUnmaskedClientFrame(t *testing.T) {
 	raw := appendFrameHeader(nil, true, OpBinary, false, [4]byte{}, 3)
 	raw = append(raw, "abc"...)
 	a.Write(raw)
-	if _, _, err := server.ReadMessage(); !errors.Is(err, ErrUnmaskedClient) {
+	if _, err := newMsgReader(server).next(1); !errors.Is(err, ErrUnmaskedClient) {
 		t.Fatalf("err = %v, want ErrUnmaskedClient", err)
 	}
 	client.Close()
@@ -178,7 +231,7 @@ func TestMaxMessageSize(t *testing.T) {
 	client, server := pair(t)
 	server.SetMaxMessageSize(10)
 	client.WriteMessage(OpBinary, make([]byte, 11))
-	if _, _, err := server.ReadMessage(); !errors.Is(err, ErrMessageTooLarge) {
+	if _, err := newMsgReader(server).next(1); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("err = %v, want ErrMessageTooLarge", err)
 	}
 }
@@ -193,12 +246,7 @@ func TestAcceptKeyRFCVector(t *testing.T) {
 }
 
 func TestHandshakeRejectsNonUpgrade(t *testing.T) {
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "c"},
-		transport.Addr{Net: "inproc", Address: "s"},
-	)
-	defer a.Close()
-	defer b.Close()
+	a, b := testPipe(t, 0)
 	go a.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
 	if _, err := ServerHandshake(b); !errors.Is(err, ErrNotWebSocket) {
 		t.Fatalf("err = %v, want ErrNotWebSocket", err)
@@ -206,12 +254,7 @@ func TestHandshakeRejectsNonUpgrade(t *testing.T) {
 }
 
 func TestHandshakeRejectsBadVersion(t *testing.T) {
-	a, b := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "c"},
-		transport.Addr{Net: "inproc", Address: "s"},
-	)
-	defer a.Close()
-	defer b.Close()
+	a, b := testPipe(t, 0)
 	go a.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\nUpgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Key: AAAAAAAAAAAAAAAAAAAAAA==\r\nSec-WebSocket-Version: 8\r\n\r\n"))
 	if _, err := ServerHandshake(b); !errors.Is(err, ErrNotWebSocket) {
 		t.Fatalf("err = %v, want ErrNotWebSocket", err)
@@ -239,8 +282,9 @@ func TestConcurrentWriters(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		r := newMsgReader(server)
 		for received < writers*perWriter {
-			_, _, err := server.ReadMessage()
+			_, err := r.next(1)
 			if err != nil {
 				t.Errorf("read %d: %v", received, err)
 				return
@@ -256,10 +300,7 @@ func TestConcurrentWriters(t *testing.T) {
 }
 
 func BenchmarkEcho140B(b *testing.B) {
-	a, c := transport.NewPipe(
-		transport.Addr{Net: "inproc", Address: "c"},
-		transport.Addr{Net: "inproc", Address: "s"},
-	)
+	a, c := testPipe(b, 0)
 	var server *Conn
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -275,22 +316,24 @@ func BenchmarkEcho140B(b *testing.B) {
 	defer client.Close()
 	defer server.Close()
 	go func() {
+		r := newMsgReader(server)
 		for {
-			op, msg, err := server.ReadMessage()
+			msg, err := r.next(140)
 			if err != nil {
 				return
 			}
-			server.WriteMessage(op, msg)
+			server.WriteMessage(OpBinary, msg)
 		}
 	}()
 	payload := make([]byte, 140)
+	r := newMsgReader(client)
 	b.SetBytes(140)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := client.WriteMessage(OpBinary, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := client.ReadMessage(); err != nil {
+		if _, err := r.next(140); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,8 +342,8 @@ func BenchmarkEcho140B(b *testing.B) {
 // TestServerSequentialWritesScratchReuse exercises the server's vectored
 // write path (scratch header + net.Buffers): back-to-back unmasked writes of
 // varying sizes must not corrupt each other through the reused scratch, the
-// payload must arrive unmutated, and a pooled payload allocator must be
-// used for data frames.
+// payload must arrive unmutated, and every deframed payload byte must come
+// from the installed allocator (the engine installs the pool there).
 func TestServerSequentialWritesScratchReuse(t *testing.T) {
 	client, server := pair(t)
 	sizes := []int{0, 1, 125, 126, 4096, 65535, 65536}
@@ -323,18 +366,16 @@ func TestServerSequentialWritesScratchReuse(t *testing.T) {
 		}
 		done <- nil
 	}()
-	var allocCalls int
-	client.SetPayloadAlloc(func(n int) []byte {
-		allocCalls++
+	var allocBytes, total int
+	r := &msgReader{c: client, sr: client.NewStreamReader(func(n int) []byte {
+		allocBytes += n
 		return make([]byte, n)
-	})
+	})}
 	for _, size := range sizes {
-		_, got, err := client.ReadMessage()
+		total += size
+		got, err := r.next(size)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
-		}
-		if len(got) != size {
-			t.Fatalf("size %d: got %d bytes", size, len(got))
 		}
 		for i := range got {
 			if got[i] != byte(size%251) {
@@ -345,7 +386,7 @@ func TestServerSequentialWritesScratchReuse(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if allocCalls != len(sizes) {
-		t.Fatalf("payload allocator used for %d of %d data frames", allocCalls, len(sizes))
+	if allocBytes != total {
+		t.Fatalf("payload allocator provided %d of %d payload bytes", allocBytes, total)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"migratorydata/internal/cache"
 	"migratorydata/internal/core"
 	"migratorydata/internal/loadgen"
-	"migratorydata/internal/netpoll"
 	"migratorydata/internal/protocol"
 	"migratorydata/internal/transport"
 )
@@ -410,9 +409,8 @@ const idleBytesBudget = 16 << 10
 // sockets: dial C10M_CONNS (default 2000; CI's c10m-scale lane runs 100000)
 // loopback TCP connections, subscribe each to its own topic, let everything
 // idle, and hold what an idle connection costs: < 0.01 goroutines —
-// connections must NOT cost a reader goroutine each on the kernel-poller
-// read path, the poll loops are per-IoThread — and <= idleBytesBudget of
-// heap. A liveness probe publishes to one fleet topic and waits for
+// connections must NOT cost a reader goroutine each, the poll loops are
+// per-IoThread — and <= idleBytesBudget of heap. A liveness probe publishes to one fleet topic and waits for
 // delivery, so the engine still works at the target count, not merely the
 // sockets opened.
 func TestIdleConnectionFootprint(t *testing.T) {
@@ -473,11 +471,6 @@ func TestIdleConnectionFootprint(t *testing.T) {
 	}
 
 	t.Logf("%d conns: %.0f bytes/conn, %.4f goroutines/conn", conns, bytesPerConn, goroutinesPerConn)
-	if !netpoll.Supported() {
-		// nonetpoll builds intentionally pay a reader goroutine per
-		// connection and are not connection-scale builds.
-		return
-	}
 	if goroutinesPerConn >= 0.01 {
 		t.Errorf("%.4f goroutines per connection (%d for %d conns), want < 0.01 — reader-per-conn suspected",
 			goroutinesPerConn, g1-g0, conns)
@@ -515,38 +508,50 @@ func TestScenarioLibraryGreen(t *testing.T) {
 }
 
 // TestRawReadPathAllocFree proves the pooled-chunk contract end to end on
-// the raw-TCP transport: once the pool is warm, a ReadChunk + recycle cycle
-// — the per-read work of engine.readLoop plus the IoThread's release —
-// performs no heap allocation. Before the egress overhaul every ReadChunk
-// copied into a fresh make([]byte, n).
+// the raw transport's read path — the only one, and the one production
+// runs: once the pools are warm, a ReadReady + recycle cycle (the poll
+// loop's per-read work plus the IoThread's release) performs no heap
+// allocation. The chunk is read straight into a pooled buffer, and
+// netpoll.ReadConn carries its arguments through a pooled op instead of a
+// closure (which cost 3 objects per read).
 func TestRawReadPathAllocFree(t *testing.T) {
-	client, server := transport.NewPipeSize(
+	client, server, err := transport.NewPipeSize(
 		transport.Addr{Net: "inproc", Address: "alloc-client"},
 		transport.Addr{Net: "inproc", Address: "alloc-server"},
 		1<<16,
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer client.Close()
 	defer server.Close()
 	framed := core.NewRawFramed(server)
+	if _, err := framed.PollConn(); err != nil {
+		t.Fatal(err)
+	}
 	frame := protocol.Encode(&protocol.Message{
 		Kind: protocol.KindPublish, Topic: "t", ID: "id",
 		Payload: make([]byte, 140), Timestamp: 1,
 	})
 
+	var got int
+	emit := func(chunk []byte) {
+		got = len(chunk)
+		core.RecycleReadChunk(chunk)
+	}
 	readOne := func() {
 		if _, err := client.Write(frame); err != nil {
 			t.Fatal(err)
 		}
-		chunk, err := framed.ReadChunk()
-		if err != nil {
+		got = 0
+		if err := framed.ReadReady(emit); err != nil {
 			t.Fatal(err)
 		}
-		if len(chunk) != len(frame) {
-			t.Fatalf("chunk length %d, want %d", len(chunk), len(frame))
+		if got != len(frame) {
+			t.Fatalf("chunk length %d, want %d", got, len(frame))
 		}
-		core.RecycleReadChunk(chunk)
 	}
-	readOne() // warm the pool's per-P slot
+	readOne() // warm the pools' per-P slots
 	allocs := testing.AllocsPerRun(500, readOne)
 	if allocs > 0.1 {
 		t.Errorf("raw read path allocates %.2f objects per read, want ~0", allocs)

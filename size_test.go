@@ -18,7 +18,7 @@ import (
 // a cost we track" — as a number a PR has to raise on purpose, with the
 // reason in its text. Set to the tree's size rounded up to the next 100;
 // lower it when a PR deletes.
-const nonTestLineCeiling = 19_500
+const nonTestLineCeiling = 19_200
 
 // TestSizeLedger walks the module and prints, per package, the non-test Go
 // lines (newline count, as `wc -l`) and the exported identifiers (top-level
