@@ -31,6 +31,11 @@ type Client struct {
 	// Owned by the IoThread.
 	batched int64
 
+	// passHead and passTail are the 1-based ends of the frames the current
+	// loop pass staged for this client in ioThread.staged (0: none). Owned
+	// by the IoThread.
+	passHead, passTail int32
+
 	// backlog is the bounded pressure queue frames divert into once the
 	// transport stalls (docs/ARCHITECTURE.md, "The overload path"). Created
 	// lazily on first stall; owned by the IoThread, as is lastProbe, the

@@ -70,9 +70,25 @@ func (ws *writeSet) release() {
 	writeSetPool.Put(ws)
 }
 
-// drainChunkBytes bounds one backlog-drain write, so recovery from a long
-// stall goes out as transport-sized batches instead of one giant write.
-const drainChunkBytes = 16 << 10
+// stagedFrame is one frame a loop pass accepted for a client, with its
+// overload-policy metadata. A client's frames are chained through next, a
+// 1-based index into ioThread.staged (0 ends the chain).
+type stagedFrame struct {
+	frame     []byte
+	topic     string
+	droppable bool
+	next      int32
+}
+
+// writeChunkBytes bounds one coalesced write — a pass's frames for one
+// client, or a backlog drain — to whole frames totalling at most this much
+// (a larger frame goes alone). It is also what one write can leave in the
+// transport carry on top of the client's budget.
+const writeChunkBytes = 4 << 10
+
+// maxStagedFrames flushes a pass early, so the staging array's retained
+// capacity stays small however large a batch the queue hands over.
+const maxStagedFrames = 512
 
 // ioThread is one I/O-layer thread (paper §4): it owns the read-side
 // decoding and the write side of every client pinned to it. Because a
@@ -102,7 +118,13 @@ type ioThread struct {
 	poll     *pollLoop
 	pollErr  error
 
-	// drainScratch is the reused buffer backlog drains are coalesced into.
+	// staged holds the frames this loop pass accepted, chained per client
+	// (Client.passHead/passTail), and dirty the clients holding a chain, in
+	// first-touch order; flushPass writes every chain when the pass ends.
+	staged []stagedFrame
+	dirty  []*Client
+
+	// drainScratch is the reused buffer coalesced writes are built in.
 	drainScratch []byte
 }
 
@@ -117,6 +139,8 @@ func newIoThread(index int, e *Engine) *ioThread {
 }
 
 // run is the IoThread loop. It exits when the queue is closed and drained.
+// One pass handles one queue batch and then writes what it staged, before
+// the loop parks again.
 func (t *ioThread) run() {
 	defer t.engine.wg.Done()
 	for {
@@ -128,6 +152,7 @@ func (t *ioThread) run() {
 		for i := range batch {
 			t.handle(&batch[i])
 		}
+		t.flushPass()
 		t.engine.cpu.AddBusy(time.Since(start))
 		t.in.Recycle(batch)
 	}
@@ -236,12 +261,13 @@ func (t *ioThread) handleWriteMulti(ev *ioEvent) {
 	ev.set.release()
 }
 
-// batchFrame adds one frame to c's batcher, writing on a size-triggered (or
-// batching-off) flush and tracking delay-triggered flushes in pendingFlush.
-// A client whose transport has stalled (or that still holds a pressure
-// backlog) first gets an inline recovery attempt — a reader that merely
-// hiccuped must not be throttled to the retry-timer cadence — and, if
-// still blocked, the frame diverts into the bounded backlog under the
+// batchFrame adds one frame to c's output. With batching off the frame
+// joins c's chain for this loop pass; otherwise it goes to c's batcher,
+// writing on a size-triggered flush and tracking delay-triggered flushes in
+// pendingFlush. A client whose transport has stalled (or that still holds a
+// pressure backlog) first gets an inline recovery attempt — a reader that
+// merely hiccuped must not be throttled to the retry-timer cadence — and,
+// if still blocked, the frame diverts into the bounded backlog under the
 // client's current pressure tier.
 func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable bool, now time.Time) {
 	if rec := t.engine.recorder; rec != nil {
@@ -253,6 +279,10 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 	}
 	if t.engine.protect && c.egressBlocked() {
 		t.recoverEgress(c, now)
+		// A chain staged earlier in this pass is older than frame, so it
+		// goes first: written if recovery freed the transport, diverted
+		// into the backlog if not.
+		t.writePending(c)
 		if c.closed.Load() {
 			c.releaseEgress(int64(len(frame)), 1)
 			return
@@ -262,15 +292,15 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 			return
 		}
 	}
+	if t.engine.cfg.BatchMaxDelay <= 0 {
+		// Batching off (the default): the frame is written when this loop
+		// pass ends, with every other frame the pass staged for c. No
+		// Batcher is ever materialized — at C10M scale its struct and buffer
+		// are pure per-connection overhead.
+		t.stage(c, frame, topic, droppable)
+		return
+	}
 	if c.batcher == nil {
-		if t.engine.cfg.BatchMaxDelay <= 0 {
-			// Batching off (the default): the frame goes straight to the
-			// transport. No Batcher is ever materialized — at C10M scale its
-			// struct and buffer are pure per-connection overhead, and Add
-			// would copy every frame only to hand the copy back.
-			t.write(c, frame, 1)
-			return
-		}
 		// Batching on: materialized on first write, not at attach — an
 		// idle connection pays nothing.
 		c.batcher = batch.NewBatcher(t.engine.cfg.BatchMaxBytes, t.engine.cfg.BatchMaxDelay)
@@ -288,6 +318,108 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 	frames := c.batched
 	c.batched = 0
 	t.write(c, out, frames)
+}
+
+// stage chains frame onto c's pass. The frames live in the ioThread-owned
+// staged array; a client carries only its chain's two ends, so no client
+// holds a buffer of its own.
+//
+//vet:hotpath
+func (t *ioThread) stage(c *Client, frame []byte, topic string, droppable bool) {
+	t.staged = append(t.staged, stagedFrame{frame: frame, topic: topic, droppable: droppable})
+	i := int32(len(t.staged))
+	if c.passHead == 0 {
+		c.passHead = i
+		t.dirty = append(t.dirty, c)
+	} else {
+		t.staged[c.passTail-1].next = i
+	}
+	c.passTail = i
+	if len(t.staged) >= maxStagedFrames {
+		t.flushPass()
+	}
+}
+
+// flushPass ends a loop pass: every client the pass staged frames for has
+// its chain written, in first-touch order — one write for a lone frame,
+// writeChunkBytes-sized ones for many. This is where batching-off output
+// coalesces, with no timer: frames that met in one pass share a write.
+//
+//vet:hotpath
+func (t *ioThread) flushPass() {
+	for _, c := range t.dirty {
+		if c.passHead != 0 { // else written early, or released by teardown
+			t.writePending(c)
+		}
+	}
+	clear(t.dirty)
+	t.dirty = t.dirty[:0]
+	clear(t.staged)
+	t.staged = t.staged[:0]
+}
+
+// writePending writes c's unwritten frames — the pressure backlog, then
+// this pass's chain, which is never the older of the two (a frame is
+// staged only while c is unblocked) — one chunk per write, until the
+// client blocks or closes. The unwritten rest of the chain then diverts in
+// order through pushBacklog, so the pressure tiers apply to it as to any
+// frame for a blocked client.
+func (t *ioThread) writePending(c *Client) {
+	for !c.closed.Load() && c.stallBytes() == 0 {
+		out, frames := t.nextChunk(c)
+		if frames == 0 || !t.write(c, out, frames) {
+			return
+		}
+	}
+	for c.passHead != 0 && !c.closed.Load() {
+		f := &t.staged[c.passHead-1]
+		t.popChain(c)
+		t.pushBacklog(c, f.frame, f.topic, f.droppable)
+	}
+}
+
+// nextChunk takes c's next write off the backlog and then the chain: whole
+// frames totalling at most writeChunkBytes, or one larger frame. A single
+// frame is returned as it is; several are concatenated into drainScratch.
+func (t *ioThread) nextChunk(c *Client) (out []byte, frames int64) {
+	for {
+		var f []byte
+		fromBacklog := c.backlog != nil && c.backlog.Len() > 0
+		switch {
+		case fromBacklog:
+			it, _ := c.backlog.Peek()
+			f = it.Value
+		case c.passHead != 0:
+			f = t.staged[c.passHead-1].frame
+		default:
+			return out, frames
+		}
+		if frames > 0 && len(out)+len(f) > writeChunkBytes {
+			return out, frames
+		}
+		if fromBacklog {
+			c.backlog.Pop()
+		} else {
+			t.popChain(c)
+		}
+		if frames == 0 {
+			out = f
+		} else {
+			if frames == 1 {
+				t.drainScratch = append(t.drainScratch[:0], out...)
+			}
+			t.drainScratch = append(t.drainScratch, f...)
+			out = t.drainScratch
+		}
+		frames++
+	}
+}
+
+// popChain advances c's chain past its head.
+func (t *ioThread) popChain(c *Client) {
+	if c.passHead = t.staged[c.passHead-1].next; c.passHead == 0 {
+		c.passTail = 0
+	}
 }
 
 // recoverEgress opportunistically services a blocked client from the
@@ -444,8 +576,9 @@ func (t *ioThread) retryStalled() {
 
 // flushStalled drives one stalled client toward recovery: drain the
 // transport carry, then any batched-but-unflushed output, then the pressure
-// backlog — in that order, preserving the wire order of every surviving
-// frame. The client leaves the stalled set once everything is flushed.
+// backlog and this pass's chain — in that order, preserving the wire order
+// of every surviving frame. The client leaves the stalled set once
+// everything is flushed.
 func (t *ioThread) flushStalled(c *Client) {
 	if c.stallBytes() > 0 {
 		flushed, err := c.framed.FlushStalled(stallProbe)
@@ -473,27 +606,9 @@ func (t *ioThread) flushStalled(c *Client) {
 			return
 		}
 	}
-	t.drainBacklog(c)
+	t.writePending(c)
 	if !c.closed.Load() && c.stallBytes() == 0 && (c.backlog == nil || c.backlog.Len() == 0) {
 		t.unmarkStalled(c)
-	}
-}
-
-// drainBacklog writes the pressure backlog out in transport-sized batches —
-// the recovery path rides the same batching machinery as §4 output batching
-// — stopping as soon as the transport stalls again.
-func (t *ioThread) drainBacklog(c *Client) {
-	for c.backlog != nil && c.backlog.Len() > 0 && c.stallBytes() == 0 {
-		t.drainScratch = t.drainScratch[:0]
-		frames := int64(0)
-		c.backlog.Drain(func(it queue.BoundedItem[[]byte]) bool {
-			t.drainScratch = append(t.drainScratch, it.Value...)
-			frames++
-			return len(t.drainScratch) < drainChunkBytes
-		})
-		if !t.write(c, t.drainScratch, frames) {
-			return
-		}
 	}
 }
 
@@ -569,8 +684,13 @@ func (t *ioThread) teardown(c *Client) {
 	}
 	delete(t.pendingFlush, c)
 	t.unmarkStalled(c)
+	// Teardown, not policy: release the budget of the unwritten chain and
+	// backlog without counting drops.
+	for c.passHead != 0 {
+		c.releaseEgress(int64(len(t.staged[c.passHead-1].frame)), 1)
+		t.popChain(c)
+	}
 	if c.backlog != nil {
-		// Teardown, not policy: release the budget without counting drops.
 		c.backlog.Close(func(it queue.BoundedItem[[]byte]) {
 			c.releaseEgress(it.Size, 1)
 		})

@@ -232,3 +232,102 @@ func TestEgressLedgerBalances(t *testing.T) {
 		t.Fatalf("healthy run tripped the overload path: %+v", st)
 	}
 }
+
+// parkIoThread blocks it inside a do callback until the returned release
+// is called, so everything queued meanwhile is handled in one loop pass.
+func parkIoThread(it *ioThread) (release func()) {
+	parked, done := make(chan struct{}), make(chan struct{})
+	go it.do(func() {
+		close(parked)
+		<-done
+	})
+	<-parked
+	return func() { close(done) }
+}
+
+// queueAtIoThread publishes n reliable messages of size bytes to topic and
+// returns once the worker has pushed every delivery to its IoThread.
+func queueAtIoThread(t *testing.T, e *Engine, topic string, n, size int) {
+	t.Helper()
+	want := e.Stats().Delivered + int64(n)
+	publishN(e, topic, n, size)
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Delivered >= want })
+	e.workers[0].do(func() {})
+}
+
+// TestPassChainOrderAcrossStall stages a chain far larger than the peer's
+// socket while the peer is still unblocked, so the end-of-pass flush fills
+// the socket part-way: the chain must reach the wire, or divert into the
+// backlog, ahead of every frame published after it. When the peer resumes
+// it receives every reliable frame exactly once, in order, and the egress
+// ledger returns to 0.
+func TestPassChainOrderAcrossStall(t *testing.T) {
+	e := New(Config{ServerID: "chain", IoThreads: 1, Workers: 1, TopicGroups: 4})
+	defer e.Close()
+	p := attachSmallPeer(t, e, "chain-peer", 512)
+	subscribeFrom(t, p, "audit", 0, 0)
+
+	const staged, later = 100, 100 // ~53 KB each way at 512 B payloads
+	release := parkIoThread(e.ioThreads[0])
+	queueAtIoThread(t, e, "audit", staged, 512)
+	release()
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().SlowConsumers == 1 })
+	queueAtIoThread(t, e, "audit", later, 512)
+
+	for seq := uint64(1); seq <= staged+later; seq++ {
+		m := p.mustRecv(5 * time.Second)
+		if m.Kind != protocol.KindNotify || m.Seq != seq {
+			t.Fatalf("got %v seq %d, want NOTIFY seq %d", m.Kind, m.Seq, seq)
+		}
+	}
+	if m := p.recv(20 * time.Millisecond); m != nil {
+		t.Fatalf("duplicate after the last frame: %v seq %d", m.Kind, m.Seq)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		st := e.Stats()
+		return st.EgressQueueBytes == 0 && st.SlowConsumers == 0
+	})
+	if st := e.Stats(); st.PressureDrops != 0 || st.PressureDisconnects != 0 {
+		t.Fatalf("reliable chain hit the overload policy: %+v", st)
+	}
+}
+
+// TestTeardownReleasesStagedChain closes a client in the same loop pass
+// that staged frames for it: teardown releases the chain's egress charges,
+// and nothing is written to the connection after Close.
+func TestTeardownReleasesStagedChain(t *testing.T) {
+	e := New(Config{ServerID: "chain-close", IoThreads: 1, Workers: 1, TopicGroups: 4})
+	defer e.Close()
+	a, b := testPipe(t, "chain-close-peer", "server", 1<<16)
+	defer a.Close()
+	c, err := e.Attach(NewRawFramed(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &testPeer{t: t, conn: a, buf: make([]byte, 1<<16)}
+	subscribeFrom(t, p, "audit", 0, 0)
+
+	release := parkIoThread(e.ioThreads[0])
+	queueAtIoThread(t, e, "audit", 32, 140)
+	if got := c.egress.bytes.Load(); got == 0 {
+		t.Fatal("queued frames were not charged")
+	}
+	flushes := e.Stats().IOFlushes
+	c.CloseAsync()
+	release()
+	waitFor(t, 5*time.Second, func() bool { return e.NumClients() == 0 })
+	e.ioThreads[0].do(func() {})
+
+	if got := c.egress.bytes.Load(); got != 0 {
+		t.Fatalf("closed client still holds %d charged bytes", got)
+	}
+	if got := c.egress.events.Load(); got != 0 {
+		t.Fatalf("closed client still holds %d charged events", got)
+	}
+	if got := e.Stats().IOFlushes - flushes; got != 0 {
+		t.Fatalf("%d writes after Close", got)
+	}
+	if m := p.recv(50 * time.Millisecond); m != nil {
+		t.Fatalf("peer received %v seq %d after Close", m.Kind, m.Seq)
+	}
+}

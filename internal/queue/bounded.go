@@ -250,21 +250,14 @@ func (q *Bounded[T]) Pop() (BoundedItem[T], bool) {
 	return BoundedItem[T]{}, false
 }
 
-// Drain pops items in order, passing each to fn, until the queue is empty or
-// fn returns false (the item passed to the final call is still consumed). It
-// returns the number of items drained.
-func (q *Bounded[T]) Drain(fn func(BoundedItem[T]) bool) int {
-	n := 0
-	for {
-		it, ok := q.Pop()
-		if !ok {
-			return n
-		}
-		n++
-		if !fn(it) {
-			return n
+// Peek returns the oldest live item without removing it.
+func (q *Bounded[T]) Peek() (BoundedItem[T], bool) {
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i].alive {
+			return q.items[i].item, true
 		}
 	}
+	return BoundedItem[T]{}, false
 }
 
 // Close drops every remaining item through release (may be nil; onDrop is

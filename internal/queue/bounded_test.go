@@ -5,13 +5,31 @@ import (
 	"testing"
 )
 
+// drain pops every live item in order and returns their values, checking
+// that Peek names each item before Pop removes it.
+func drain(t *testing.T, q *Bounded[string]) []string {
+	t.Helper()
+	var got []string
+	for {
+		peeked, ok := q.Peek()
+		it, popped := q.Pop()
+		if ok != popped || peeked != it {
+			t.Fatalf("Peek = %+v/%v, then Pop = %+v/%v", peeked, ok, it, popped)
+		}
+		if !popped {
+			return got
+		}
+		got = append(got, it.Value)
+	}
+}
+
 // item builds a droppable test item whose value names it.
 func item(name, key string, size int64, droppable bool) BoundedItem[string] {
 	return BoundedItem[string]{Value: name, Size: size, Key: key, Droppable: droppable}
 }
 
 // TestBoundedPushAccounting verifies the byte/item budgets across Push,
-// Pop, and Drain: every stored byte is accounted exactly once and released
+// Pop, and Peek: every stored byte is accounted exactly once and released
 // exactly once.
 func TestBoundedPushAccounting(t *testing.T) {
 	var dropped []BoundedItem[string]
@@ -40,13 +58,9 @@ func TestBoundedPushAccounting(t *testing.T) {
 	if !ok || it.Value != "v0" || q.Bytes() != 120 || q.Len() != 5 {
 		t.Fatalf("pop: %+v ok=%v len=%d bytes=%d", it, ok, q.Len(), q.Bytes())
 	}
-	var got []string
-	n := q.Drain(func(it BoundedItem[string]) bool {
-		got = append(got, it.Value)
-		return true
-	})
-	if n != 5 || q.Len() != 0 || q.Bytes() != 0 {
-		t.Fatalf("drain: n=%d len=%d bytes=%d", n, q.Len(), q.Bytes())
+	got := drain(t, q)
+	if len(got) != 5 || q.Len() != 0 || q.Bytes() != 0 {
+		t.Fatalf("drain: n=%d len=%d bytes=%d", len(got), q.Len(), q.Bytes())
 	}
 	want := []string{"v1", "v2", "v3", "v4", "big"}
 	for i := range want {
@@ -76,8 +90,7 @@ func TestBoundedPushAllAggregates(t *testing.T) {
 	if q.Len() != 3 || q.Bytes() != 30 || drops != 1 {
 		t.Fatalf("len=%d bytes=%d drops=%d", q.Len(), q.Bytes(), drops)
 	}
-	var got []string
-	q.Drain(func(it BoundedItem[string]) bool { got = append(got, it.Value); return true })
+	got := drain(t, q)
 	want := []string{"b", "c", "d"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -102,8 +115,7 @@ func TestBoundedConflateReplacesSameKey(t *testing.T) {
 		t.Fatalf("dropped %v, want [old]", dropped)
 	}
 	q.Push(item("newer", "tick", 10, true), PushConflate)
-	var got []string
-	q.Drain(func(it BoundedItem[string]) bool { got = append(got, it.Value); return true })
+	got := drain(t, q)
 	want := []string{"rel", "newer"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -147,8 +159,7 @@ func TestBoundedEvictOldestPreservesReliable(t *testing.T) {
 	if !res.OverBudget {
 		t.Fatal("reliable overflow must report OverBudget")
 	}
-	var got []string
-	q.Drain(func(it BoundedItem[string]) bool { got = append(got, it.Value); return true })
+	got := drain(t, q)
 	want := []string{"r1", "r2", "r3", "r4"}
 	if len(got) != len(want) {
 		t.Fatalf("drained %v, want %v", got, want)
@@ -223,8 +234,7 @@ func TestBoundedConflateChurnBoundsStorage(t *testing.T) {
 	if slots := q.Slots(); slots > 64 {
 		t.Fatalf("backing slice holds %d slots for 3 live items: tombstones leak", slots)
 	}
-	var got []string
-	q.Drain(func(it BoundedItem[string]) bool { got = append(got, it.Value); return true })
+	got := drain(t, q)
 	want := []string{"r1", "r2", "v99999"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -247,15 +257,14 @@ func TestBoundedCompaction(t *testing.T) {
 	}
 	// Whatever survives must still drain in order with correct accounting.
 	prev := -1
-	q.Drain(func(it BoundedItem[string]) bool {
+	for _, v := range drain(t, q) {
 		var n int
-		fmt.Sscanf(it.Value, "v%d", &n)
+		fmt.Sscanf(v, "v%d", &n)
 		if n <= prev {
 			t.Fatalf("out of order: v%d after v%d", n, prev)
 		}
 		prev = n
-		return true
-	})
+	}
 	if q.Bytes() != 0 || q.Len() != 0 {
 		t.Fatalf("post-drain bytes=%d len=%d", q.Bytes(), q.Len())
 	}

@@ -9,6 +9,7 @@ package migratorydata_test
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -308,6 +309,167 @@ func TestSparseFanoutWorkerPushes(t *testing.T) {
 				t.Errorf("%.3f worker pushes per publish, want within [%g, %g]", perOp, tc.minPerOp, tc.maxPerOp)
 			}
 		})
+	}
+}
+
+// gatedFramed parks the IoThread that owns its client: once armed, the
+// next WriteBatch signals parked and blocks until release, so work queues
+// behind a loop pass that has not ended yet.
+type gatedFramed struct {
+	core.Framed
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedFramed) WriteBatch(batch []byte) error {
+	if g.armed.CompareAndSwap(true, false) {
+		g.parked <- struct{}{}
+		<-g.release
+	}
+	return g.Framed.WriteBatch(batch)
+}
+
+// TestPassCoalescesWrites pins the batching-off egress to one write per
+// client per IoThread loop pass: every frame a pass staged for a client
+// leaves in chunks of whole frames of at most 4096 bytes — not one write
+// per frame — in (epoch, seq) order; a pass holding one frame writes it
+// alone, and that pass allocates nothing. The IoThread is parked inside a
+// write (gatedFramed) while k publications queue behind it, so the next
+// pass drains all of them at once.
+func TestPassCoalescesWrites(t *testing.T) {
+	const (
+		topic    = "coalesce"
+		k        = 64
+		chunk    = 4096 // the IoThread's coalesced-write cap
+		frameLen = 256  // divides chunk, so whole frames fill every chunk
+		lone     = 16
+	)
+	e := core.New(core.Config{ServerID: "coalesce", IoThreads: 1, Workers: 1, TopicGroups: 4})
+	defer e.Close()
+	conn, server, err := transport.NewPipeSize(
+		transport.Addr{Net: "inproc", Address: "coalesce-client"},
+		transport.Addr{Net: "inproc", Address: "coalesce-server"},
+		1<<16,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	gate := &gatedFramed{Framed: core.NewRawFramed(server),
+		parked: make(chan struct{}), release: make(chan struct{})}
+	c, err := e.Attach(gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var dec protocol.StreamDecoder
+	buf := make([]byte, 1<<16)
+	recv := func() *protocol.Message {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			m, err := dec.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m != nil {
+				return m
+			}
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			dec.Feed(buf[:n])
+		}
+	}
+	expectSeq := func(seq uint64) {
+		t.Helper()
+		m := recv()
+		if m.Kind != protocol.KindNotify || m.Epoch != 1 || m.Seq != seq {
+			t.Fatalf("got %v (%d,%d), want NOTIFY (1,%d)", m.Kind, m.Epoch, m.Seq, seq)
+		}
+		if n := len(protocol.Encode(m)); n != frameLen {
+			t.Fatalf("frame of %d bytes, want %d", n, frameLen)
+		}
+	}
+	// flushesReach waits for the write counter to reach want (a write is
+	// counted just after the peer can read it) and returns its value.
+	flushesReach := func(want int64) int64 {
+		deadline := time.Now().Add(5 * time.Second)
+		for e.Stats().IOFlushes < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return e.Stats().IOFlushes
+	}
+
+	if _, err := conn.Write(protocol.Encode(&protocol.Message{Kind: protocol.KindSubscribe,
+		Topics: []protocol.TopicPosition{{Topic: topic}}})); err != nil {
+		t.Fatal(err)
+	}
+	if m := recv(); m.Kind != protocol.KindSubAck {
+		t.Fatalf("got %v, want SUBACK", m.Kind)
+	}
+	// Size the payload so every NOTIFY frame (seq < 128) is frameLen bytes.
+	payload := []byte{}
+	for len(protocol.Encode(&protocol.Message{Kind: protocol.KindNotify, Topic: topic,
+		Epoch: 1, Seq: 1, Payload: payload})) < frameLen {
+		payload = append(payload, 'x')
+	}
+	deliver := func(seq uint64) {
+		e.Deliver(topic, cache.Entry{Epoch: 1, Seq: seq, Payload: payload})
+	}
+
+	// Park the IoThread in the write of seq 1; queue k publications behind it.
+	gate.armed.Store(true)
+	deliver(1)
+	<-gate.parked
+	st := e.Stats()
+	for seq := uint64(2); seq <= k+1; seq++ {
+		deliver(seq)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Stats().FanoutEvents < st.FanoutEvents+k {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d publications reached the IoThread", e.Stats().FanoutEvents-st.FanoutEvents, k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	for seq := uint64(1); seq <= k+1; seq++ {
+		expectSeq(seq)
+	}
+	// One write for the parked pass's lone frame, then whole 4 KiB chunks.
+	want := st.IOFlushes + 1 + (k*frameLen+chunk-1)/chunk
+	if got := flushesReach(want); got != want {
+		t.Fatalf("%d publications drained in one pass took %d writes, want %d",
+			k, got-st.IOFlushes-1, want-st.IOFlushes-1)
+	}
+
+	// One frame per pass: one write per delivery.
+	before := e.Stats().IOFlushes
+	for seq := uint64(k + 2); seq < k+2+lone; seq++ {
+		deliver(seq)
+		expectSeq(seq)
+	}
+	if got := flushesReach(before + lone); got != before+lone {
+		t.Fatalf("%d lone-frame passes took %d writes", lone, got-before)
+	}
+
+	// The lone-frame pass — stage, end-of-pass flush, write — allocates
+	// nothing (the frame is written as it is, not copied).
+	frame := protocol.Encode(&protocol.Message{Kind: protocol.KindNotify, Topic: topic,
+		Epoch: 1, Seq: 1, Payload: payload})
+	conn.SetReadDeadline(time.Time{})
+	sendOne := func() {
+		c.SendFrame(frame)
+		if _, err := io.ReadFull(conn, buf[:len(frame)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendOne()
+	if allocs := testing.AllocsPerRun(200, sendOne); allocs != 0 {
+		t.Errorf("a lone-frame pass allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 // nonTestLineCeiling is the size budget: non-test Go lines in the module
 // outside benchmark/ and testdata/. ROADMAP aim 2 — "lines and concepts are
 // a cost we track" — as a number a PR has to raise on purpose, with the
-// reason in its text. Set to the tree's size rounded up to the next 100;
-// lower it when a PR deletes.
-const nonTestLineCeiling = 19_200
+// reason in its text. Set to the tree's size rounded up to the next 100; a
+// PR that cannot land under it raises it by its overage rounded up to the
+// next 10. Lower it when a PR deletes.
+const nonTestLineCeiling = 19_280
 
 // TestSizeLedger walks the module and prints, per package, the non-test Go
 // lines (newline count, as `wc -l`) and the exported identifiers (top-level
