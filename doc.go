@@ -17,15 +17,15 @@
 // Everything else is internal:
 //
 //   - internal/core — the two-layer engine with fixed client→thread
-//     pinning and the topic→worker delivery index;
+//     pinning, the topic→worker delivery index, batching and conflation;
 //   - internal/cluster — coordinators, tiered replication driven by
 //     gossiped interest digests, partition fencing, cache recovery;
 //   - internal/coord and internal/consensus — the ZooKeeper-equivalent
 //     coordination service on a Raft-style replicated log;
-//   - internal/protocol, internal/cache, internal/batch, internal/queue,
+//   - internal/protocol, internal/cache, internal/queue,
 //     internal/websocket, internal/transport, internal/hashing,
 //     internal/backoff, internal/dedup — the wire format, history cache,
-//     batching/conflation, queues, and transports under the engine;
+//     queues, and transports under the engine;
 //   - internal/loadgen and internal/metrics — the in-process test harness
 //     (Benchpub/Benchsub fleets, scenarios) and the measurement machinery.
 //

@@ -3,7 +3,10 @@
 // per-second feed: one delivers every update, the other conflates to one
 // aggregated update per 100 ms interval per topic — the client sees the
 // latest price at a fraction of the notification (and I/O) rate, which is
-// what lets MigratoryData scale vertically on high-frequency use cases.
+// what lets MigratoryData scale vertically on high-frequency use cases. It
+// checks itself, and CI runs it: it exits 1 unless the conflating server
+// delivered fewer notifications than the plain one, with the same last
+// price.
 //
 //	go run ./examples/conflation
 package main
@@ -69,6 +72,10 @@ func main() {
 	fmt.Printf("\npublished:          %5d updates\n", published)
 	fmt.Printf("plain server:       %5d notifications (every update), last price %s\n", nPlain, lastPlain)
 	fmt.Printf("conflating server:  %5d notifications (~10/s aggregates),  last price %s\n", nConf, lastConf)
+	if nConf == 0 || nConf >= nPlain || lastConf != lastPlain {
+		log.Fatalf("conflation check failed: %d notifications against %d, last price %q against %q",
+			nConf, nPlain, lastConf, lastPlain)
+	}
 	fmt.Printf("\nconflation reduced client notifications by %.0fx while preserving the latest value\n",
 		float64(nPlain)/float64(nConf))
 }

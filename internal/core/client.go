@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"migratorydata/internal/batch"
 	"migratorydata/internal/protocol"
 	"migratorydata/internal/queue"
 )
@@ -12,8 +11,8 @@ import (
 // Client is one connected publisher or subscriber. Per the paper §4, a
 // client is assigned to exactly one IoThread and one Worker when it
 // connects, and those assignments never change for the lifetime of the
-// connection; consequently the decoder, batcher, and subscription state
-// below are each touched by a single goroutine and need no locks.
+// connection; consequently the decoder, output chain, and subscription
+// state below are each touched by a single goroutine and need no locks.
 type Client struct {
 	id     uint64 // engine-unique connection id
 	name   string // application client identifier from CONNECT
@@ -22,19 +21,17 @@ type Client struct {
 	worker *worker
 	engine *Engine
 
-	// decoder and batcher are owned by the IoThread.
+	// decoder is owned by the IoThread.
 	decoder protocol.StreamDecoder
-	batcher *batch.Batcher
 
-	// batched counts the frames currently coalesced in batcher, so the
-	// egress ledger can release whole-frame events when a batch flushes.
-	// Owned by the IoThread.
-	batched int64
-
-	// passHead and passTail are the 1-based ends of the frames the current
-	// loop pass staged for this client in ioThread.staged (0: none). Owned
-	// by the IoThread.
-	passHead, passTail int32
+	// passHead and passTail are the 1-based ends of this client's chain of
+	// unwritten frames in ioThread.staged (0: none); with batching on,
+	// passBytes is the chain's size and passSince when its oldest frame was
+	// staged, as an offset from ioThread.epoch. listed records that the
+	// client is in ioThread.dirty. All owned by the IoThread.
+	passHead, passTail, passBytes int32
+	listed                        bool
+	passSince                     time.Duration
 
 	// backlog is the bounded pressure queue frames divert into once the
 	// transport stalls (docs/ARCHITECTURE.md, "The overload path"). Created

@@ -43,8 +43,13 @@ type Config struct {
 	// CacheCapacity is the per-topic history depth. Default: 1024.
 	CacheCapacity int
 	// BatchMaxBytes and BatchMaxDelay configure per-client output batching
-	// (§4). BatchMaxDelay == 0 disables batching (every frame is written
-	// immediately), matching the paper's evaluation configuration.
+	// (§4). With BatchMaxDelay > 0 a client's frames are held and written
+	// together in one write once they reach BatchMaxBytes, once the next
+	// frame would not fit in one write (max(4 KiB, BatchMaxBytes)), or once
+	// the oldest is BatchMaxDelay old. BatchMaxDelay == 0 holds nothing,
+	// matching the paper's evaluation configuration: frames are written
+	// when the IoThread loop pass that staged them ends, one write per
+	// client per pass.
 	BatchMaxBytes int
 	BatchMaxDelay time.Duration
 	// ConflationInterval enables per-topic conflation when > 0 (§4).
@@ -405,7 +410,7 @@ func (e *Engine) Attach(framed Framed) (*Client, error) {
 	}
 	id := e.nextID.Add(1)
 	// Per-connection state is deliberately minimal here: the subscription
-	// set, batcher, and backlog all materialize lazily on first use, so an
+	// set and backlog materialize lazily on first use, so an
 	// idle connection — the C10M shape — costs only the Client struct, its
 	// decoder, and a kernel-poller registration.
 	c := &Client{

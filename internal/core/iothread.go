@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"migratorydata/internal/batch"
 	"migratorydata/internal/protocol"
 	"migratorydata/internal/queue"
 )
@@ -24,7 +23,7 @@ const (
 	evWriteMulti
 	// evClose requests connection teardown.
 	evClose
-	// evTick drives time-based batch flushing.
+	// evTick writes the held chains whose batching delay expired.
 	evTick
 	// evFunc runs a closure on the IoThread loop (introspection and tests:
 	// ioThread-owned state can be read without races only from here).
@@ -70,9 +69,10 @@ func (ws *writeSet) release() {
 	writeSetPool.Put(ws)
 }
 
-// stagedFrame is one frame a loop pass accepted for a client, with its
-// overload-policy metadata. A client's frames are chained through next, a
-// 1-based index into ioThread.staged (0 ends the chain).
+// stagedFrame is one frame accepted for a client and not yet written, with
+// its overload-policy metadata. A client's frames are chained through next,
+// a 1-based index into ioThread.staged (0 ends the chain); a free slot is
+// chained the same way onto ioThread.free.
 type stagedFrame struct {
 	frame     []byte
 	topic     string
@@ -80,29 +80,28 @@ type stagedFrame struct {
 	next      int32
 }
 
-// writeChunkBytes bounds one coalesced write — a pass's frames for one
+// writeChunkBytes bounds one coalesced write — a chain's frames for one
 // client, or a backlog drain — to whole frames totalling at most this much
-// (a larger frame goes alone). It is also what one write can leave in the
-// transport carry on top of the client's budget.
+// (a larger frame goes alone); with batching on, BatchMaxBytes raises it
+// (ioThread.chunk). It is also what one write can leave in the transport
+// carry on top of the client's budget.
 const writeChunkBytes = 4 << 10
 
-// maxStagedFrames flushes a pass early, so the staging array's retained
-// capacity stays small however large a batch the queue hands over.
+// maxStagedFrames flushes a pass early, so without a hold the staging
+// array's retained capacity stays small however large a batch the queue
+// hands over. With one, the array holds what the held chains hold, each at
+// most one write.
 const maxStagedFrames = 512
 
 // ioThread is one I/O-layer thread (paper §4): it owns the read-side
 // decoding and the write side of every client pinned to it. Because a
-// client is touched by exactly one ioThread, its decoder and batcher need
-// no locks — the property the paper credits for the I/O layer's vertical
-// scalability.
+// client is touched by exactly one ioThread, its decoder and output chain
+// need no locks — the property the paper credits for the I/O layer's
+// vertical scalability.
 type ioThread struct {
 	index  int
 	in     *queue.MPSC[ioEvent]
 	engine *Engine
-
-	// pendingFlush tracks clients with batched-but-unflushed output, so
-	// ticks only visit clients that need it.
-	pendingFlush map[*Client]struct{}
 
 	// stalled tracks clients whose transport write stalled (carried bytes
 	// or a non-empty backlog); retryArmed guards the single retry timer,
@@ -118,24 +117,44 @@ type ioThread struct {
 	poll     *pollLoop
 	pollErr  error
 
-	// staged holds the frames this loop pass accepted, chained per client
-	// (Client.passHead/passTail), and dirty the clients holding a chain, in
-	// first-touch order; flushPass writes every chain when the pass ends.
+	// staged holds the frames accepted and not yet written, chained per
+	// client (Client.passHead/passTail), and dirty the clients holding a
+	// chain, each listed once (Client.listed), in first-touch order.
+	// Without a hold, flushPass writes every chain when the loop pass ends
+	// and clears the array. With one, chains outlive their pass, popChain
+	// puts each written slot on the free list for stage to reuse, and
+	// flushHeld writes the chains whose hold expired.
 	staged []stagedFrame
 	dirty  []*Client
+	free   int32
+
+	// hold is how long a chain may wait for more frames (BatchMaxDelay; 0
+	// writes it when its pass ends), chunk the most one coalesced write
+	// carries, and epoch the origin of Client.passSince.
+	hold  time.Duration
+	chunk int
+	epoch time.Time
 
 	// drainScratch is the reused buffer coalesced writes are built in.
 	drainScratch []byte
 }
 
 func newIoThread(index int, e *Engine) *ioThread {
-	return &ioThread{
-		index:        index,
-		in:           queue.NewMPSC[ioEvent](),
-		engine:       e,
-		pendingFlush: make(map[*Client]struct{}),
-		stalled:      make(map[*Client]struct{}),
+	t := &ioThread{
+		index:   index,
+		in:      queue.NewMPSC[ioEvent](),
+		engine:  e,
+		stalled: make(map[*Client]struct{}),
+		chunk:   writeChunkBytes,
+		epoch:   time.Now(),
 	}
+	if e.cfg.BatchMaxDelay > 0 {
+		// A held chain is always written whole, in one write, so the write
+		// cap must fit a full batch.
+		t.hold = e.cfg.BatchMaxDelay
+		t.chunk = max(writeChunkBytes, e.cfg.BatchMaxBytes)
+	}
+	return t
 }
 
 // run is the IoThread loop. It exits when the queue is closed and drained.
@@ -169,7 +188,7 @@ func (t *ioThread) handle(ev *ioEvent) {
 	case evClose:
 		t.teardown(ev.c)
 	case evTick:
-		t.flushDue()
+		t.flushHeld(time.Now())
 	case evFunc:
 		ev.fn()
 	case evStallRetry:
@@ -179,7 +198,7 @@ func (t *ioThread) handle(ev *ioEvent) {
 
 // do runs fn on the IoThread loop and waits for it to complete, reporting
 // false without running fn if the thread has shut down. Tests use it to
-// inspect ioThread-owned state (pendingFlush, batchers) without races.
+// inspect ioThread-owned state (chains, backlogs) without races.
 func (t *ioThread) do(fn func()) bool {
 	done := make(chan struct{})
 	if !t.in.Push(ioEvent{kind: evFunc, fn: func() {
@@ -233,8 +252,7 @@ func (t *ioThread) handleBytes(c *Client, data []byte) {
 	}
 }
 
-// handleWrite batches the frame for the client and writes when the batcher
-// says so.
+// handleWrite adds the frame to the client's output.
 func (t *ioThread) handleWrite(ev *ioEvent) {
 	c := ev.c
 	if c.closed.Load() {
@@ -245,8 +263,8 @@ func (t *ioThread) handleWrite(ev *ioEvent) {
 	t.batchFrame(c, ev.data, ev.topic, ev.droppable, time.Now())
 }
 
-// handleWriteMulti feeds one shared frame into the batcher of every client
-// in the set — the IoThread half of grouped fan-out. One time.Now() covers
+// handleWriteMulti adds one shared frame to the output of every client in
+// the set — the IoThread half of grouped fan-out. One time.Now() covers
 // the whole set, and the set returns to its pool afterwards.
 func (t *ioThread) handleWriteMulti(ev *ioEvent) {
 	now := time.Now()
@@ -261,14 +279,15 @@ func (t *ioThread) handleWriteMulti(ev *ioEvent) {
 	ev.set.release()
 }
 
-// batchFrame adds one frame to c's output. With batching off the frame
-// joins c's chain for this loop pass; otherwise it goes to c's batcher,
-// writing on a size-triggered flush and tracking delay-triggered flushes in
-// pendingFlush. A client whose transport has stalled (or that still holds a
-// pressure backlog) first gets an inline recovery attempt — a reader that
-// merely hiccuped must not be throttled to the retry-timer cadence — and,
-// if still blocked, the frame diverts into the bounded backlog under the
-// client's current pressure tier.
+// batchFrame adds one frame to c's chain (stage). Without a hold the chain
+// is written when this loop pass ends, with every other frame the pass
+// staged for c; with one (paper §4's batching) it is written once it
+// reaches BatchMaxBytes, once the next frame would not fit in one write, or
+// once its oldest frame is BatchMaxDelay old. A client whose transport has
+// stalled (or that still holds a pressure backlog) first gets an inline
+// recovery attempt — a reader that merely hiccuped must not be throttled to
+// the retry-timer cadence — and, if still blocked, the frame diverts into
+// the bounded backlog under the client's current pressure tier.
 func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable bool, now time.Time) {
 	if rec := t.engine.recorder; rec != nil {
 		// Every outbound frame passes through here exactly once, before
@@ -277,11 +296,13 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 		// replay must reproduce.
 		rec.RecordOut(c.id, frame)
 	}
-	if t.engine.protect && c.egressBlocked() {
+	// A frame that finds c blocked, or that would overflow the held chain's
+	// one write, sends the chain first — it is older than frame: written if
+	// the transport is free (recoverEgress frees a blocked one where it
+	// can), diverted into the backlog if not.
+	full := t.hold > 0 && c.passHead != 0 && int(c.passBytes)+len(frame) > t.chunk
+	if full || t.engine.protect && c.egressBlocked() {
 		t.recoverEgress(c, now)
-		// A chain staged earlier in this pass is older than frame, so it
-		// goes first: written if recovery freed the transport, diverted
-		// into the backlog if not.
 		t.writePending(c)
 		if c.closed.Load() {
 			c.releaseEgress(int64(len(frame)), 1)
@@ -292,51 +313,48 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 			return
 		}
 	}
-	if t.engine.cfg.BatchMaxDelay <= 0 {
-		// Batching off (the default): the frame is written when this loop
-		// pass ends, with every other frame the pass staged for c. No
-		// Batcher is ever materialized — at C10M scale its struct and buffer
-		// are pure per-connection overhead.
-		t.stage(c, frame, topic, droppable)
-		return
-	}
-	if c.batcher == nil {
-		// Batching on: materialized on first write, not at attach — an
-		// idle connection pays nothing.
-		c.batcher = batch.NewBatcher(t.engine.cfg.BatchMaxBytes, t.engine.cfg.BatchMaxDelay)
-	}
-	c.batched++
-	out := c.batcher.Add(now, frame)
-	if out == nil {
-		t.pendingFlush[c] = struct{}{}
-		return
-	}
-	// The flush drained everything pending for c, so a stale pendingFlush
-	// entry (from frames batched earlier in this interval) must go too —
-	// otherwise every tick would re-visit a client with nothing due.
-	delete(t.pendingFlush, c)
-	frames := c.batched
-	c.batched = 0
-	t.write(c, out, frames)
+	t.stage(c, frame, topic, droppable, now)
 }
 
-// stage chains frame onto c's pass. The frames live in the ioThread-owned
-// staged array; a client carries only its chain's two ends, so no client
-// holds a buffer of its own.
+// stage chains frame onto c's output. The frames live in the
+// ioThread-owned staged array; a client carries only its chain's two ends,
+// its size and its age, so no client holds a buffer of its own. With a
+// hold, a chain that reaches BatchMaxBytes is written at once.
 //
 //vet:hotpath
-func (t *ioThread) stage(c *Client, frame []byte, topic string, droppable bool) {
-	t.staged = append(t.staged, stagedFrame{frame: frame, topic: topic, droppable: droppable})
-	i := int32(len(t.staged))
+func (t *ioThread) stage(c *Client, frame []byte, topic string, droppable bool, now time.Time) {
+	f := stagedFrame{frame: frame, topic: topic, droppable: droppable}
+	i := t.free
+	if i != 0 {
+		t.free = t.staged[i-1].next
+		t.staged[i-1] = f
+	} else {
+		t.staged = append(t.staged, f)
+		i = int32(len(t.staged))
+	}
 	if c.passHead == 0 {
 		c.passHead = i
-		t.dirty = append(t.dirty, c)
+		if !c.listed {
+			c.listed = true
+			t.dirty = append(t.dirty, c)
+		}
 	} else {
 		t.staged[c.passTail-1].next = i
 	}
 	c.passTail = i
-	if len(t.staged) >= maxStagedFrames {
-		t.flushPass()
+	if t.hold <= 0 {
+		if len(t.staged) >= maxStagedFrames {
+			t.flushPass()
+		}
+		return
+	}
+	if c.passHead == i { // frame starts the chain
+		c.passBytes = 0
+		c.passSince = now.Sub(t.epoch)
+	}
+	c.passBytes += int32(len(frame))
+	if limit := t.engine.cfg.BatchMaxBytes; limit > 0 && int(c.passBytes) >= limit {
+		t.writePending(c)
 	}
 }
 
@@ -344,10 +362,15 @@ func (t *ioThread) stage(c *Client, frame []byte, topic string, droppable bool) 
 // its chain written, in first-touch order — one write for a lone frame,
 // writeChunkBytes-sized ones for many. This is where batching-off output
 // coalesces, with no timer: frames that met in one pass share a write.
+// With a hold it does nothing; flushHeld and the size triggers write.
 //
 //vet:hotpath
 func (t *ioThread) flushPass() {
+	if t.hold > 0 {
+		return
+	}
 	for _, c := range t.dirty {
+		c.listed = false
 		if c.passHead != 0 { // else written early, or released by teardown
 			t.writePending(c)
 		}
@@ -359,11 +382,11 @@ func (t *ioThread) flushPass() {
 }
 
 // writePending writes c's unwritten frames — the pressure backlog, then
-// this pass's chain, which is never the older of the two (a frame is
-// staged only while c is unblocked) — one chunk per write, until the
-// client blocks or closes. The unwritten rest of the chain then diverts in
-// order through pushBacklog, so the pressure tiers apply to it as to any
-// frame for a blocked client.
+// the chain, which is never the older of the two (a frame is staged only
+// while c is unblocked) — one chunk per write, until the client blocks or
+// closes. The unwritten rest of the chain then diverts in order through
+// pushBacklog, so the pressure tiers apply to it as to any frame for a
+// blocked client.
 func (t *ioThread) writePending(c *Client) {
 	for !c.closed.Load() && c.stallBytes() == 0 {
 		out, frames := t.nextChunk(c)
@@ -372,15 +395,15 @@ func (t *ioThread) writePending(c *Client) {
 		}
 	}
 	for c.passHead != 0 && !c.closed.Load() {
-		f := &t.staged[c.passHead-1]
+		f := t.staged[c.passHead-1]
 		t.popChain(c)
 		t.pushBacklog(c, f.frame, f.topic, f.droppable)
 	}
 }
 
 // nextChunk takes c's next write off the backlog and then the chain: whole
-// frames totalling at most writeChunkBytes, or one larger frame. A single
-// frame is returned as it is; several are concatenated into drainScratch.
+// frames totalling at most t.chunk, or one larger frame. A single frame is
+// returned as it is; several are concatenated into drainScratch.
 func (t *ioThread) nextChunk(c *Client) (out []byte, frames int64) {
 	for {
 		var f []byte
@@ -394,7 +417,7 @@ func (t *ioThread) nextChunk(c *Client) (out []byte, frames int64) {
 		default:
 			return out, frames
 		}
-		if frames > 0 && len(out)+len(f) > writeChunkBytes {
+		if frames > 0 && len(out)+len(f) > t.chunk {
 			return out, frames
 		}
 		if fromBacklog {
@@ -415,11 +438,40 @@ func (t *ioThread) nextChunk(c *Client) (out []byte, frames int64) {
 	}
 }
 
-// popChain advances c's chain past its head.
+// popChain advances c's chain past its head. With a hold the freed slot
+// goes on the free list, since other chains outlive the pass; without one
+// flushPass clears the whole array when the pass ends.
 func (t *ioThread) popChain(c *Client) {
-	if c.passHead = t.staged[c.passHead-1].next; c.passHead == 0 {
+	i := c.passHead
+	f := &t.staged[i-1]
+	if c.passHead = f.next; c.passHead == 0 {
 		c.passTail = 0
 	}
+	if t.hold > 0 {
+		*f = stagedFrame{next: t.free}
+		t.free = i
+	}
+}
+
+// flushHeld is the hold's delay trigger, run on each engine tick: one pass
+// over dirty writes every chain whose oldest frame is BatchMaxDelay old and
+// forgets every client whose chain is gone (written by size, or released
+// by teardown).
+func (t *ioThread) flushHeld(now time.Time) {
+	due := now.Sub(t.epoch) - t.hold
+	held := t.dirty[:0]
+	for _, c := range t.dirty {
+		if c.passHead != 0 && c.passSince <= due {
+			t.writePending(c)
+		}
+		if c.passHead == 0 {
+			c.listed = false
+			continue
+		}
+		held = append(held, c)
+	}
+	clear(t.dirty[len(held):])
+	t.dirty = held
 }
 
 // recoverEgress opportunistically services a blocked client from the
@@ -575,10 +627,9 @@ func (t *ioThread) retryStalled() {
 }
 
 // flushStalled drives one stalled client toward recovery: drain the
-// transport carry, then any batched-but-unflushed output, then the pressure
-// backlog and this pass's chain — in that order, preserving the wire order
-// of every surviving frame. The client leaves the stalled set once
-// everything is flushed.
+// transport carry, then the pressure backlog and the chain — in that order,
+// preserving the wire order of every surviving frame. The client leaves the
+// stalled set once everything is flushed.
 func (t *ioThread) flushStalled(c *Client) {
 	if c.stallBytes() > 0 {
 		flushed, err := c.framed.FlushStalled(stallProbe)
@@ -597,43 +648,9 @@ func (t *ioThread) flushStalled(c *Client) {
 	if c.stallBytes() > 0 {
 		return // transport still full; retry later
 	}
-	if c.batcher != nil && c.batcher.Pending() > 0 {
-		out := c.batcher.Flush()
-		frames := c.batched
-		c.batched = 0
-		delete(t.pendingFlush, c)
-		if !t.write(c, out, frames) {
-			return
-		}
-	}
 	t.writePending(c)
 	if !c.closed.Load() && c.stallBytes() == 0 && (c.backlog == nil || c.backlog.Len() == 0) {
 		t.unmarkStalled(c)
-	}
-}
-
-// flushDue flushes every client whose batch delay has expired.
-func (t *ioThread) flushDue() {
-	if len(t.pendingFlush) == 0 {
-		return
-	}
-	now := time.Now()
-	for c := range t.pendingFlush {
-		if c.closed.Load() {
-			delete(t.pendingFlush, c)
-			continue
-		}
-		frames := c.batched
-		out := c.batcher.Due(now)
-		if out == nil {
-			if c.batcher.Pending() == 0 {
-				delete(t.pendingFlush, c)
-			}
-			continue
-		}
-		delete(t.pendingFlush, c)
-		c.batched = 0
-		t.write(c, out, frames)
 	}
 }
 
@@ -682,7 +699,6 @@ func (t *ioThread) teardown(c *Client) {
 		// cleanly either way — this just avoids the churn).
 		pl.unregister(c)
 	}
-	delete(t.pendingFlush, c)
 	t.unmarkStalled(c)
 	// Teardown, not policy: release the budget of the unwritten chain and
 	// backlog without counting drops.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"migratorydata/internal/cache"
 	"migratorydata/internal/protocol"
@@ -22,21 +24,20 @@ func attachClient(t *testing.T, e *Engine, name string) (*Client, *testPeer) {
 	return c, &testPeer{t: t, conn: a, buf: make([]byte, 8192)}
 }
 
-// inPendingFlush reads c's membership in its ioThread's pendingFlush set on
-// the ioThread loop itself (the only race-free place to look).
+// inPendingFlush reports whether c holds a chain of unwritten frames,
+// read on the ioThread loop itself (the only race-free place to look).
 func inPendingFlush(t *testing.T, c *Client) bool {
 	t.Helper()
 	var present bool
-	if !c.io.do(func() { _, present = c.io.pendingFlush[c] }) {
+	if !c.io.do(func() { present = c.passHead != 0 }) {
 		t.Fatal("ioThread already shut down")
 	}
 	return present
 }
 
-// TestSizeFlushRemovesPendingFlush is the regression test for the
-// pendingFlush bookkeeping: a client whose batcher got flushed by the size
-// trigger must leave the pendingFlush set immediately, so subsequent ticks
-// do not re-visit a client with nothing due.
+// TestSizeFlushRemovesPendingFlush: a client whose held chain was written
+// by the size trigger holds nothing afterwards, so a later tick finds
+// nothing due for it and writes nothing.
 func TestSizeFlushRemovesPendingFlush(t *testing.T) {
 	e := newTestEngine(t, Config{
 		BatchMaxBytes: 64,
@@ -48,14 +49,13 @@ func TestSizeFlushRemovesPendingFlush(t *testing.T) {
 	// A small frame batches without flushing: the client goes pending.
 	c.SendFrame(make([]byte, 16))
 	if !inPendingFlush(t, c) {
-		t.Fatal("client with batched output not tracked in pendingFlush")
+		t.Fatal("client with batched output holds no chain")
 	}
 
-	// Crossing maxBytes flushes by size — and must drop the stale
-	// pendingFlush entry along the way.
+	// Crossing maxBytes writes the chain by size, leaving nothing held.
 	c.SendFrame(make([]byte, 64))
 	if inPendingFlush(t, c) {
-		t.Fatal("size-flushed client still tracked in pendingFlush")
+		t.Fatal("size-flushed client still holds a chain")
 	}
 
 	// A manual tick must find nothing to do for this client: no re-visit,
@@ -63,7 +63,7 @@ func TestSizeFlushRemovesPendingFlush(t *testing.T) {
 	flushesBefore := e.Stats().IOFlushes
 	c.io.in.Push(ioEvent{kind: evTick})
 	if inPendingFlush(t, c) {
-		t.Fatal("tick re-admitted a flushed client to pendingFlush")
+		t.Fatal("tick left a flushed client holding a chain")
 	}
 	if got := e.Stats().IOFlushes; got != flushesBefore {
 		t.Fatalf("tick performed %d extra flushes for an already-flushed client", got-flushesBefore)
@@ -188,5 +188,179 @@ func TestHandleBytesReleasesMessageOnClosedWorkerQueue(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Fatalf("handleBytes allocates %.2f/op against a closed worker queue: rejected messages are not returned to their pools", allocs)
+	}
+}
+
+// recordingFramed keeps every write instead of sending it, so a test can
+// assert a client's writes exactly: how many, and their bytes. Only the
+// IoThread writes, so the log is read on its loop.
+type recordingFramed struct {
+	Framed
+	writes []string
+}
+
+func (r *recordingFramed) WriteBatch(b []byte) error {
+	r.writes = append(r.writes, string(b))
+	return nil
+}
+
+// attachRecorded attaches a client whose writes are recorded, on an engine
+// with one IoThread whose own ticks never fire: the test drives the hold's
+// triggers with a synthetic clock.
+func attachRecorded(t *testing.T, maxBytes int, delay time.Duration) (*Client, *recordingFramed) {
+	t.Helper()
+	e := newTestEngine(t, Config{IoThreads: 1, Workers: 1,
+		BatchMaxBytes: maxBytes, BatchMaxDelay: delay, TickInterval: time.Hour})
+	a, b := testPipe(t, "held-chain", "server", 0)
+	t.Cleanup(func() { a.Close() })
+	rec := &recordingFramed{Framed: NewRawFramed(b)}
+	c, err := e.Attach(rec)
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	return c, rec
+}
+
+// offerAt charges frame to c's egress ledger, as Client.SendFrame does, and
+// hands it to c's ioThread at the given offset from its epoch. Loop only.
+func offerAt(c *Client, at time.Duration, frame []byte) {
+	c.chargeEgress(int64(len(frame)))
+	c.io.batchFrame(c, frame, "", false, c.io.epoch.Add(at))
+	c.io.flushPass() // the loop pass ends; a held chain outlives it
+}
+
+// TestHeldChainTriggers pins batching as a hold on the pass chain: a held
+// chain is written, in exactly one write, when it reaches BatchMaxBytes,
+// when the next frame would not fit in one write, or when a tick finds its
+// oldest frame BatchMaxDelay old — and never otherwise.
+func TestHeldChainTriggers(t *testing.T) {
+	type step struct {
+		at     time.Duration // since the ioThread's epoch
+		frame  string        // offered when non-empty, else a tick
+		writes int           // total writes once the step ran
+	}
+	frames256 := make([]step, 64)
+	var batches256 []string
+	for i := range frames256 {
+		f := strings.Repeat(string(rune('a'+i%26)), 256)
+		frames256[i] = step{frame: f, writes: (i + 1) / 16}
+		if i%16 == 0 {
+			batches256 = append(batches256, "")
+		}
+		batches256[len(batches256)-1] += f
+	}
+	cases := []struct {
+		name     string
+		maxBytes int
+		delay    time.Duration
+		steps    []step
+		want     []string
+	}{
+		{"size_trigger", 10, time.Hour, []step{
+			{frame: "12345"}, {frame: "67890", writes: 1}, {at: 2 * time.Hour, writes: 1},
+		}, []string{"1234567890"}},
+		{"oversized_frame", 10, time.Hour, []step{
+			{frame: "0123456789abcdef", writes: 1},
+		}, []string{"0123456789abcdef"}},
+		{"delay_trigger", 1 << 20, 50 * time.Millisecond, []step{
+			{frame: "aa"},
+			{at: 10 * time.Millisecond, frame: "bb"},
+			{at: 30 * time.Millisecond},
+			{at: 51 * time.Millisecond, writes: 1},
+			{at: time.Hour, writes: 1},
+		}, []string{"aabb"}},
+		{"delay_from_oldest", 1 << 20, 50 * time.Millisecond, []step{
+			{frame: "aa"},
+			{at: 40 * time.Millisecond, frame: "bb"},
+			{at: 30 * time.Millisecond},
+			{at: 55 * time.Millisecond, writes: 1},
+		}, []string{"aabb"}},
+		{"due_exactly_at_max_delay", 1 << 20, 50 * time.Millisecond, []step{
+			{frame: "x"},
+			{at: 50*time.Millisecond - 1},
+			{at: 50 * time.Millisecond, writes: 1},
+		}, []string{"x"}},
+		{"one_write_per_batch", 4096, time.Hour, frames256, batches256},
+		{"no_size_trigger", 0, time.Hour, []step{
+			{frame: strings.Repeat("a", 3000)},
+			{frame: strings.Repeat("b", 1000)},
+			{frame: strings.Repeat("c", 200), writes: 1},
+			{at: 2 * time.Hour, writes: 2},
+		}, []string{strings.Repeat("a", 3000) + strings.Repeat("b", 1000), strings.Repeat("c", 200)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, rec := attachRecorded(t, tc.maxBytes, tc.delay)
+			for i, s := range tc.steps {
+				var n int
+				c.io.do(func() {
+					if s.frame != "" {
+						offerAt(c, s.at, []byte(s.frame))
+					} else {
+						c.io.flushHeld(c.io.epoch.Add(s.at))
+					}
+					n = len(rec.writes)
+				})
+				if n != s.writes {
+					t.Fatalf("step %d (at %v, %d B): %d writes, want %d", i, s.at, len(s.frame), n, s.writes)
+				}
+			}
+			var got []string
+			c.io.do(func() { got = rec.writes })
+			if len(got) != len(tc.want) {
+				t.Fatalf("%d writes, want %d", len(got), len(tc.want))
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("write %d: %d B %.16q…, want %d B %.16q…", i, len(got[i]), got[i], len(tc.want[i]), tc.want[i])
+				}
+			}
+			if b, ev := c.egress.bytes.Load(), c.egress.events.Load(); b != 0 || ev != 0 {
+				t.Fatalf("egress ledger holds %d bytes, %d events after every write", b, ev)
+			}
+		})
+	}
+}
+
+// TestHeldChainBookkeeping pins what a hold costs: a held frame allocates
+// nothing once the staging array has room (written slots are reused), a
+// client whose chain is size-written over and over between ticks is listed
+// once, and holding adds nothing to a Client.
+func TestHeldChainBookkeeping(t *testing.T) {
+	if n := unsafe.Sizeof(Client{}); n > 216 {
+		t.Fatalf("Client is %d B, want <= 216", n)
+	}
+
+	c, _ := attachRecorded(t, 1<<20, time.Hour)
+	frame := []byte("12345678")
+	var allocs float64
+	c.io.do(func() {
+		for range 200 {
+			offerAt(c, 0, frame)
+		}
+		c.io.flushHeld(c.io.epoch.Add(2 * time.Hour)) // 200 slots freed
+		allocs = testing.AllocsPerRun(100, func() { offerAt(c, 3*time.Hour, frame) })
+		c.io.flushHeld(c.io.epoch.Add(5 * time.Hour))
+	})
+	if allocs != 0 {
+		t.Fatalf("a held frame allocates %.2f times, want 0", allocs)
+	}
+
+	c, _ = attachRecorded(t, 16, time.Hour)
+	frame = []byte("0123456789abcdef")
+	var listed, slots, afterTick int
+	c.io.do(func() {
+		for range 100 {
+			offerAt(c, 0, frame) // written on arrival
+		}
+		listed, slots = len(c.io.dirty), len(c.io.staged)
+		c.io.flushHeld(c.io.epoch.Add(time.Minute))
+		afterTick = len(c.io.dirty)
+	})
+	if listed != 1 || slots != 1 {
+		t.Fatalf("after 100 size-triggered writes: %d dirty entries, %d staging slots; want 1 and 1", listed, slots)
+	}
+	if afterTick != 0 {
+		t.Fatalf("a tick kept %d clients with nothing held", afterTick)
 	}
 }

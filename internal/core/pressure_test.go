@@ -255,14 +255,29 @@ func queueAtIoThread(t *testing.T, e *Engine, topic string, n, size int) {
 	e.workers[0].do(func() {})
 }
 
+// holdVariants runs body without a hold and with one: the chain tests
+// below must hold whether the chain is written when its pass ends or
+// outlives it. The subtests differ only in the batching Config fields.
+func holdVariants(t *testing.T, maxBytes int, delay time.Duration, body func(t *testing.T, cfg Config)) {
+	t.Run("hold_0", func(t *testing.T) { body(t, Config{}) })
+	t.Run("hold_"+delay.String(), func(t *testing.T) {
+		body(t, Config{BatchMaxBytes: maxBytes, BatchMaxDelay: delay})
+	})
+}
+
 // TestPassChainOrderAcrossStall stages a chain far larger than the peer's
-// socket while the peer is still unblocked, so the end-of-pass flush fills
-// the socket part-way: the chain must reach the wire, or divert into the
-// backlog, ahead of every frame published after it. When the peer resumes
-// it receives every reliable frame exactly once, in order, and the egress
-// ledger returns to 0.
+// socket while the peer is still unblocked, so the end-of-pass (or
+// size-triggered) write fills the socket part-way: the chain must reach the
+// wire, or divert into the backlog, ahead of every frame published after
+// it. When the peer resumes it receives every reliable frame exactly once,
+// in order, and the egress ledger returns to 0.
 func TestPassChainOrderAcrossStall(t *testing.T) {
-	e := New(Config{ServerID: "chain", IoThreads: 1, Workers: 1, TopicGroups: 4})
+	holdVariants(t, 16<<10, 5*time.Millisecond, testPassChainOrderAcrossStall)
+}
+
+func testPassChainOrderAcrossStall(t *testing.T, cfg Config) {
+	cfg.ServerID, cfg.IoThreads, cfg.Workers, cfg.TopicGroups = "chain", 1, 1, 4
+	e := New(cfg)
 	defer e.Close()
 	p := attachSmallPeer(t, e, "chain-peer", 512)
 	subscribeFrom(t, p, "audit", 0, 0)
@@ -294,9 +309,15 @@ func TestPassChainOrderAcrossStall(t *testing.T) {
 
 // TestTeardownReleasesStagedChain closes a client in the same loop pass
 // that staged frames for it: teardown releases the chain's egress charges,
-// and nothing is written to the connection after Close.
+// and nothing is written to the connection after Close. The hold is
+// finite because the SUBACK is held as well.
 func TestTeardownReleasesStagedChain(t *testing.T) {
-	e := New(Config{ServerID: "chain-close", IoThreads: 1, Workers: 1, TopicGroups: 4})
+	holdVariants(t, 64<<10, 20*time.Millisecond, testTeardownReleasesStagedChain)
+}
+
+func testTeardownReleasesStagedChain(t *testing.T, cfg Config) {
+	cfg.ServerID, cfg.IoThreads, cfg.Workers, cfg.TopicGroups = "chain-close", 1, 1, 4
+	e := New(cfg)
 	defer e.Close()
 	a, b := testPipe(t, "chain-close-peer", "server", 1<<16)
 	defer a.Close()

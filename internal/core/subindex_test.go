@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"migratorydata/internal/batch"
 	"migratorydata/internal/cache"
 	"migratorydata/internal/protocol"
 )
@@ -304,17 +303,13 @@ func TestInterestHookFiresOnGroupTransitions(t *testing.T) {
 func TestAggregateFrameSingleMessageReuse(t *testing.T) {
 	entry := cache.Entry{Epoch: 1, Seq: 7, Payload: []byte("px=101.5"), Timestamp: 9}
 	frame := protocol.Encode(notifyMessage("ticker", entry, 0))
-	agg := batch.Conflated[conflated]{
-		Topic: "ticker",
-		Value: conflated{entry: entry, frame: frame},
-		Count: 1,
-	}
+	agg := &aggregate{topic: "ticker", entry: entry, frame: frame, count: 1}
 	got := aggregateFrame(agg)
 	if &got[0] != &frame[0] {
 		t.Fatal("single-message aggregate re-encoded instead of reusing the pre-encoded frame")
 	}
 
-	agg.Count = 2
+	agg.count = 2
 	got = aggregateFrame(agg)
 	if &got[0] == &frame[0] {
 		t.Fatal("multi-message aggregate must not reuse the unconflated frame")

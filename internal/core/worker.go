@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"migratorydata/internal/batch"
 	"migratorydata/internal/cache"
 	"migratorydata/internal/protocol"
 	"migratorydata/internal/queue"
@@ -38,14 +37,6 @@ type workerEvent struct {
 	fn    func() // weFunc payload
 }
 
-// conflated couples a cache entry with the NOTIFY frame encoded for it at
-// Deliver time, so a single-message conflation aggregate can be re-sent
-// without re-encoding.
-type conflated struct {
-	entry cache.Entry
-	frame []byte
-}
-
 // worker is one logic-layer thread (paper §4): it owns subscription
 // matching, per-client session state, and conflation for the clients pinned
 // to it. Each worker sees only its own clients, so the per-topic subscriber
@@ -62,7 +53,7 @@ type worker struct {
 	subsByTopic map[string]*clientSet
 
 	// conflator aggregates per-topic deliveries when conflation is on.
-	conflator *batch.Conflator[conflated]
+	conflator conflator
 
 	// ioBuckets and ioEvents are the grouped fan-out scratch, both indexed
 	// by ioThread. fanOut buckets a topic's subscribers into per-ioThread
@@ -84,7 +75,7 @@ func newWorker(index int, e *Engine) *worker {
 		in:          queue.NewMPSC[workerEvent](),
 		engine:      e,
 		subsByTopic: make(map[string]*clientSet),
-		conflator:   batch.NewConflator[conflated](e.cfg.ConflationInterval, nil),
+		conflator:   conflator{},
 		ioBuckets:   make([]*writeSet, e.cfg.IoThreads),
 		ioEvents:    make([][]ioEvent, e.cfg.IoThreads),
 	}
@@ -262,12 +253,13 @@ func (w *worker) dropSub(c *Client, topic string) {
 	}
 }
 
-// deliver fans a sequenced publication out to this worker's subscribers.
+// deliver fans a sequenced publication out to this worker's subscribers —
+// or, with conflation on, leaves it to the conflator, which flushConflated
+// drains on the engine tick.
 func (w *worker) deliver(topic string, e cache.Entry, frame []byte) {
 	if w.engine.cfg.ConflationInterval > 0 {
-		if _, emit := w.conflator.Offer(time.Now(), topic, conflated{entry: e, frame: frame}); !emit {
-			return
-		}
+		w.conflator.offer(time.Now(), topic, e, frame)
+		return
 	}
 	w.fanOut(topic, frame)
 }
@@ -389,12 +381,12 @@ func (w *worker) flushEgress() {
 // flushConflated emits due conflation aggregates, staging them all before a
 // single egress flush.
 func (w *worker) flushConflated() {
-	aggs := w.conflator.Drain(time.Now())
+	aggs := w.conflator.drain(time.Now(), w.engine.cfg.ConflationInterval)
 	if len(aggs) == 0 {
 		return
 	}
 	for _, agg := range aggs {
-		w.stageFanout(agg.Topic, aggregateFrame(agg))
+		w.stageFanout(agg.topic, aggregateFrame(agg))
 	}
 	w.flushEgress()
 }
@@ -403,11 +395,11 @@ func (w *worker) flushConflated() {
 // single-message aggregate needs no FlagConflated bit, so the NOTIFY frame
 // already encoded at Deliver time is byte-identical and is reused instead
 // of re-encoding.
-func aggregateFrame(agg batch.Conflated[conflated]) []byte {
-	if agg.Count == 1 {
-		return agg.Value.frame
+func aggregateFrame(agg *aggregate) []byte {
+	if agg.count == 1 {
+		return agg.frame
 	}
-	return protocol.Encode(notifyMessage(agg.Topic, agg.Value.entry, protocol.FlagConflated))
+	return protocol.Encode(notifyMessage(agg.topic, agg.entry, protocol.FlagConflated))
 }
 
 // detach removes all of the client's subscriptions. Detach is terminal —
