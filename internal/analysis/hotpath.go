@@ -16,6 +16,14 @@ import (
 //   - function literals that capture enclosing variables (the closure and
 //     its captured variables move to the heap).
 //
+// It also keeps them off the runtime's syscall entry: a call to any
+// package-level function of package syscall other than RawSyscall and
+// RawSyscall6 (Read, Write, Syscall, Syscall6, EpollWait, ...) is flagged.
+// That entry wakes a parked sysmon thread on the first syscall after every
+// idle spell — a thread wake-up per paced message — so the delivery path's
+// reads, writes and harvests are raw syscalls on non-blocking descriptors
+// (internal/netpoll's package doc).
+//
 // The benchmarks pin allocs/op only on the paths they drive; the annotation
 // extends the same budget to every branch of the marked functions, including
 // error paths the benchmarks never reach. Allocations that are intentional
@@ -23,7 +31,7 @@ import (
 // //vet:ignore hotpath -- <reason> directive.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "//vet:hotpath functions must not allocate via fmt, string concat, map literals, or capturing closures",
+	Doc:  "//vet:hotpath functions must not allocate via fmt, string concat, map literals, or capturing closures, nor enter the runtime's syscall path",
 	Run:  runHotPath,
 }
 
@@ -53,6 +61,10 @@ func (hc *hotpathChecker) walk(body *ast.BlockStmt) {
 			f := calleeOf(info, n)
 			if f != nil && pkgPathOf(f) == "fmt" {
 				hc.pass.Reportf(n.Pos(), "hot path calls fmt.%s, which allocates", f.Name())
+				return true
+			}
+			if entersSyscall(f) {
+				hc.pass.Reportf(n.Pos(), "hot path calls syscall.%s, which enters the runtime's syscall path (wakes sysmon); use syscall.RawSyscall on a non-blocking descriptor", f.Name())
 				return true
 			}
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
@@ -146,4 +158,14 @@ func isMapType(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Map)
 	return ok
+}
+
+// entersSyscall reports whether f is a package-level function of package
+// syscall that goes through the runtime's syscall entry: all but the raw
+// ones.
+func entersSyscall(f *types.Func) bool {
+	if pkgPathOf(f) != "syscall" || f.Type().(*types.Signature).Recv() != nil {
+		return false
+	}
+	return f.Name() != "RawSyscall" && f.Name() != "RawSyscall6"
 }

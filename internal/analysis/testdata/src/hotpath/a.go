@@ -1,7 +1,11 @@
 // Fixtures for the hotpath analyzer.
 package hotpath
 
-import "fmt"
+import (
+	"fmt"
+	"syscall"
+	"unsafe"
+)
 
 // ---- positive cases ----
 
@@ -39,7 +43,46 @@ func captureOnHotPath(seq uint64) func() uint64 {
 	return func() uint64 { return seq + 1 } // want `hot path closure captures "seq"`
 }
 
+//vet:hotpath
+func readOnHotPath(fd int, buf []byte) (int, error) {
+	return syscall.Read(fd, buf) // want `hot path calls syscall\.Read, which enters the runtime's syscall path`
+}
+
+//vet:hotpath
+func syscallOnHotPath(fd uintptr, buf []byte) syscall.Errno {
+	_, _, e := syscall.Syscall(syscall.SYS_WRITE, fd, uintptr(unsafe.Pointer(&buf[0])), uintptr(len(buf))) // want `hot path calls syscall\.Syscall,`
+	return e
+}
+
+//vet:hotpath
+func epollWaitOnHotPath(epfd int, evs []syscall.EpollEvent) (int, error) {
+	return syscall.EpollWait(epfd, evs, 0) // want `hot path calls syscall\.EpollWait,`
+}
+
 // ---- negative cases ----
+
+//vet:hotpath
+func rawSyscallOnHotPath(fd uintptr, buf []byte) (int, error) {
+	r, _, e := syscall.RawSyscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(&buf[0])), uintptr(len(buf)))
+	if e != 0 {
+		return 0, e // returning the Errno calls nothing in syscall
+	}
+	return int(r), nil
+}
+
+//vet:hotpath
+func rawSyscall6OnHotPath(epfd uintptr, evs []syscall.EpollEvent) (int, string) {
+	r, _, e := syscall.RawSyscall6(syscall.SYS_EPOLL_PWAIT, epfd, uintptr(unsafe.Pointer(&evs[0])), uintptr(len(evs)), 0, 0, 0)
+	if e != 0 {
+		return 0, e.Error() // a method of syscall.Errno makes no syscall
+	}
+	return int(r), ""
+}
+
+// coldRead has no annotation: a blocking-capable syscall is fine here.
+func coldRead(fd int, buf []byte) (int, error) {
+	return syscall.Read(fd, buf)
+}
 
 //vet:hotpath
 func appendOnly(dst []byte, b byte) []byte {

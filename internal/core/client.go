@@ -35,11 +35,10 @@ type Client struct {
 
 	// backlog is the bounded pressure queue frames divert into once the
 	// transport stalls (docs/ARCHITECTURE.md, "The overload path"). Created
-	// lazily on first stall; owned by the IoThread, as is lastProbe, the
-	// rate limiter for inline recovery attempts against a carried
-	// transport.
+	// lazily on first stall; owned by the IoThread, as is lastRetry, when
+	// the delivery path last retried this client's carried transport.
 	backlog   *queue.Bounded[[]byte]
-	lastProbe time.Time
+	lastRetry time.Time
 
 	// poll is the IoThread poll loop this connection's fd is registered
 	// with. Atomic because a teardown racing Attach may read it before

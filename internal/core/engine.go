@@ -427,7 +427,7 @@ func (e *Engine) Attach(framed Framed) (*Client, error) {
 	if e.protect {
 		// Stall-aware writes keep one slow consumer from blocking its
 		// IoThread.
-		framed.SetWriteStall(writeStallTimeout)
+		framed.SetWriteStall(true)
 	}
 	// Decoded messages and their payloads ride pooled memory; the worker
 	// releases or detaches them per message kind (see handleClientMsg), so

@@ -21,7 +21,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -51,25 +50,26 @@ type Framed interface {
 	RemoteAddr() string
 
 	// The stall-aware write side behind overload protection
-	// (docs/ARCHITECTURE.md, "The overload path"). With a stall bound set,
-	// a WriteBatch blocks at most that long; wire bytes that did not fit
-	// are retained internally (wire-exact, order preserved) and drained by
-	// FlushStalled — so one client that stops reading can never stall the
-	// IoThread that owns it. With protection off SetWriteStall is never
-	// called and StalledBytes stays 0.
+	// (docs/ARCHITECTURE.md, "The overload path"). With stall writes on, a
+	// WriteBatch is one non-blocking write attempt: wire bytes the socket
+	// did not take are retained internally (wire-exact, order preserved)
+	// and drained by FlushStalled — so one client that stops reading can
+	// never stall the IoThread that owns it, and no write arms a deadline.
+	// With protection off SetWriteStall is never called, writes block
+	// under a long timeout and StalledBytes stays 0.
 
-	// SetWriteStall bounds one transport write. d <= 0 restores blocking
-	// writes with the default long timeout.
-	SetWriteStall(d time.Duration)
+	// SetWriteStall turns carry-on-EAGAIN writes on or off. Off restores
+	// blocking writes under the default long timeout.
+	SetWriteStall(on bool)
 	// StalledBytes reports retained unwritten wire bytes. Safe from any
 	// goroutine.
 	StalledBytes() int64
-	// FlushStalled attempts to drain retained bytes, blocking at most
-	// probe, and returns the bytes actually written (exact, even when
-	// other writers append to the retained buffer concurrently — the
-	// engine's ledger reconciliation depends on this). A still-full peer
-	// is not an error; transport failures are.
-	FlushStalled(probe time.Duration) (int64, error)
+	// FlushStalled makes one non-blocking attempt to drain retained bytes
+	// and returns the bytes actually written (exact, even when other
+	// writers append to the retained buffer concurrently — the engine's
+	// ledger reconciliation depends on this). A still-full peer is not an
+	// error; transport failures are.
+	FlushStalled() (int64, error)
 
 	// The readiness read path (docs/ARCHITECTURE.md, "The connection
 	// path"). Attach registers the transport's raw connection with its
@@ -111,7 +111,7 @@ type rawFramed struct {
 	// Stall-aware write state (see Framed.SetWriteStall). Only the owning
 	// IoThread writes, so carry needs no lock; carried mirrors its length
 	// for lock-free readers (Workers computing pressure tiers).
-	stall   time.Duration
+	stall   bool
 	carry   []byte
 	carried atomic.Int64
 }
@@ -121,14 +121,17 @@ func NewRawFramed(conn net.Conn) Framed {
 	return &rawFramed{conn: conn}
 }
 
-// WriteBatch implements Framed. With a write-stall bound set the call
-// consumes the batch within the bound: unwritten bytes are carried and the
-// client is handled as a slow consumer (pressure tiers, retried flushes)
-// instead of blocking the IoThread.
+// WriteBatch implements Framed. With stall writes on the call is one
+// non-blocking write: unwritten bytes are carried and the client is handled
+// as a slow consumer (pressure tiers, retried flushes) instead of blocking
+// the IoThread. With them off it blocks under defaultWriteTimeout, then
+// clears the deadline: the runtime refuses every later raw write on a
+// connection whose deadline has passed.
 func (r *rawFramed) WriteBatch(batch []byte) error {
-	if r.stall <= 0 {
+	if !r.stall {
 		_ = r.conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
 		_, err := r.conn.Write(batch)
+		_ = r.conn.SetWriteDeadline(time.Time{})
 		return err
 	}
 	if len(r.carry) > 0 {
@@ -137,44 +140,32 @@ func (r *rawFramed) WriteBatch(batch []byte) error {
 		r.carried.Store(int64(len(r.carry)))
 		return nil
 	}
-	_ = r.conn.SetWriteDeadline(time.Now().Add(r.stall))
-	n, err := r.conn.Write(batch)
-	if err != nil && isStallTimeout(err) {
+	n, again, err := netpoll.WriteConn(r.rc, batch, nil)
+	if again {
 		r.carry = append(r.carry, batch[n:]...)
 		r.carried.Store(int64(len(r.carry)))
-		return nil
 	}
 	return err
 }
 
 // SetWriteStall implements Framed.
-func (r *rawFramed) SetWriteStall(d time.Duration) { r.stall = d }
+func (r *rawFramed) SetWriteStall(on bool) { r.stall = on }
 
 // StalledBytes implements Framed.
 func (r *rawFramed) StalledBytes() int64 { return r.carried.Load() }
 
 // FlushStalled implements Framed.
-func (r *rawFramed) FlushStalled(probe time.Duration) (int64, error) {
+func (r *rawFramed) FlushStalled() (int64, error) {
 	if len(r.carry) == 0 {
 		return 0, nil
 	}
-	_ = r.conn.SetWriteDeadline(time.Now().Add(probe))
-	n, err := r.conn.Write(r.carry)
+	n, _, err := netpoll.WriteConn(r.rc, r.carry, nil)
 	if n > 0 {
 		rest := copy(r.carry, r.carry[n:])
 		r.carry = r.carry[:rest]
 		r.carried.Store(int64(rest))
 	}
-	if err != nil && !isStallTimeout(err) {
-		return int64(n), err
-	}
-	return int64(n), nil
-}
-
-// isStallTimeout reports whether err is a write-deadline expiry.
-func isStallTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	return int64(n), err
 }
 
 // Close implements Framed.
@@ -234,7 +225,7 @@ func (r *rawFramed) ReadReady(emit func(chunk []byte)) error {
 // wsFramed carries protocol frames inside WebSocket binary messages.
 type wsFramed struct {
 	ws       *websocket.Conn
-	stalling bool // write-stall bound active (the ws layer sets deadlines)
+	stalling bool // stall writes on (the ws layer carries, with no deadline)
 
 	// Readiness read path state: the cached raw connection and the
 	// incremental deframer that carries partial-frame state across
@@ -261,16 +252,16 @@ func (w *wsFramed) WriteBatch(batch []byte) error {
 
 // SetWriteStall implements Framed (the websocket layer owns the carry,
 // since control frames written from the read loop share the same wire).
-func (w *wsFramed) SetWriteStall(d time.Duration) {
-	w.stalling = d > 0
-	w.ws.SetWriteStall(d)
+func (w *wsFramed) SetWriteStall(on bool) {
+	w.stalling = on
+	w.ws.SetWriteStall(on)
 }
 
 // StalledBytes implements Framed.
 func (w *wsFramed) StalledBytes() int64 { return w.ws.StalledBytes() }
 
 // FlushStalled implements Framed.
-func (w *wsFramed) FlushStalled(probe time.Duration) (int64, error) { return w.ws.FlushStalled(probe) }
+func (w *wsFramed) FlushStalled() (int64, error) { return w.ws.FlushStalled() }
 
 // Close implements Framed.
 func (w *wsFramed) Close() error { return w.ws.Close() }

@@ -104,11 +104,9 @@ type ioThread struct {
 	engine *Engine
 
 	// stalled tracks clients whose transport write stalled (carried bytes
-	// or a non-empty backlog); retryArmed guards the single retry timer,
-	// and lastProbe rate-limits inline blocking probes thread-wide.
+	// or a non-empty backlog); retryArmed guards the single retry timer.
 	stalled    map[*Client]struct{}
 	retryArmed bool
-	lastProbe  time.Time
 
 	// poll is this thread's lazily-created readiness loop (see poll.go);
 	// pollOnce guards creation and pollErr latches why there is none (a
@@ -478,19 +476,14 @@ func (t *ioThread) flushHeld(now time.Time) {
 // delivery path. A transport with no carried bytes is free — only the
 // backlog's FIFO ordering blocks the fast path — so it drains inline at
 // wire speed (the recovery a fast reader needs after a momentary hiccup).
-// A still-carried transport is probed at most once per stallRetryEvery per
-// client AND behind a thread-wide probe-rate limit (one blocking probe per
-// 2 × stallProbe), so inline probe time stays bounded no matter how many
-// stalled clients keep receiving traffic; the timer-driven retry otherwise
-// owns them.
+// A still-carried transport is retried at most once per stallRetryEvery
+// per client; the timer-driven retry otherwise owns it.
 func (t *ioThread) recoverEgress(c *Client, now time.Time) {
 	if c.stallBytes() > 0 {
-		if now.Sub(c.lastProbe) < stallRetryEvery ||
-			now.Sub(t.lastProbe) < 2*stallProbe {
+		if now.Sub(c.lastRetry) < stallRetryEvery {
 			return
 		}
-		c.lastProbe = now
-		t.lastProbe = now
+		c.lastRetry = now
 	}
 	t.flushStalled(c)
 }
@@ -583,41 +576,19 @@ func (t *ioThread) armRetry() {
 	})
 }
 
-// The overload path's fixed timings. writeStallTimeout bounds one transport
-// write under overload protection: a write that cannot complete within it
-// diverts the remainder into the framing's carry buffer instead of blocking
-// the IoThread. stallRetryEvery is the cadence of retry flushes for stalled
-// clients; stallProbe bounds one retry-flush write attempt against a stalled
-// transport.
-const (
-	writeStallTimeout = 2 * time.Millisecond
-	stallRetryEvery   = 10 * time.Millisecond
-	stallProbe        = 500 * time.Microsecond
-)
-
-// maxProbesPerRetry caps the blocking carry probes one retry tick may
-// issue, so the IoThread time lost to full-transport probes stays bounded
-// (≤ maxProbesPerRetry × stallProbe per stallRetryEvery) no matter how
-// many clients are stalled — Go's randomized map iteration rotates which
-// clients get probed each tick. Clients whose transport is free (backlog
-// only) are always serviced: their drains cost no probe time.
-const maxProbesPerRetry = 4
+// stallRetryEvery is the overload path's one fixed timing: the cadence of
+// retry flushes for stalled clients. A retry is one non-blocking write, so
+// it costs the IoThread no wait however many clients are stalled.
+const stallRetryEvery = 10 * time.Millisecond
 
 // retryStalled re-attempts transport flushes for stalled clients,
 // re-arming the timer while any remain.
 func (t *ioThread) retryStalled() {
 	t.retryArmed = false
-	probes := 0
 	for c := range t.stalled {
 		if c.closed.Load() {
 			t.unmarkStalled(c)
 			continue
-		}
-		if c.stallBytes() > 0 {
-			if probes >= maxProbesPerRetry {
-				continue // next tick; map order rotates fairness
-			}
-			probes++
 		}
 		t.flushStalled(c)
 	}
@@ -632,7 +603,7 @@ func (t *ioThread) retryStalled() {
 // stalled set once everything is flushed.
 func (t *ioThread) flushStalled(c *Client) {
 	if c.stallBytes() > 0 {
-		flushed, err := c.framed.FlushStalled(stallProbe)
+		flushed, err := c.framed.FlushStalled()
 		if flushed > 0 {
 			c.releaseEgress(flushed, 0)
 			t.engine.stats.egress.FlushBytes.Add(flushed)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 // wakeToken is the reserved token carried by the self-pipe's read end.
@@ -138,11 +139,11 @@ func (p *Poller) Del(rc syscall.RawConn) error {
 }
 
 // Wait parks the calling goroutine until at least one registered
-// connection is readable or Wake is called, filling evs with readiness
-// tokens. woken reports that a Wake was consumed (the caller should
-// process pending registration kicks). After Close, Wait releases the
-// kernel fds and returns ErrClosed — it is the single place teardown
-// happens.
+// connection is readable or Wake is called, filling evs (which must not be
+// empty) with readiness tokens. woken reports that a Wake was consumed
+// (the caller should process pending registration kicks). After Close,
+// Wait releases the kernel fds and returns ErrClosed — it is the single
+// place teardown happens.
 func (p *Poller) Wait(evs []Event) (n int, woken bool, err error) {
 	if cap(p.buf) < len(evs) {
 		p.buf = make([]syscall.EpollEvent, len(evs))
@@ -185,10 +186,17 @@ func (p *Poller) Wait(evs []Event) (n int, woken bool, err error) {
 }
 
 // harvestReady is Wait's RawConn.Read callback: one zero-timeout
-// epoll_wait, which never sleeps (so is never interrupted). False sends
+// epoll_pwait, which never sleeps (so is never interrupted). False sends
 // the runtime back to park until the epoll fd's next readiness edge.
+//
+//vet:hotpath
 func (p *Poller) harvestReady(fd uintptr) bool {
-	p.ready, p.werr = syscall.EpollWait(int(fd), p.buf, 0)
+	r, _, e := syscall.RawSyscall6(syscall.SYS_EPOLL_PWAIT, fd,
+		uintptr(unsafe.Pointer(&p.buf[0])), uintptr(len(p.buf)), 0, 0, 0)
+	p.ready, p.werr = int(r), nil
+	if e != 0 {
+		p.ready, p.werr = 0, e
+	}
 	return p.ready > 0 || p.werr != nil
 }
 

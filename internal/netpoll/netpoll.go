@@ -13,16 +13,28 @@
 // most of a delivery's latency. The rule for the delivery path: no
 // goroutine on it enters an unbounded raw blocking syscall.
 //
+// The other half of the rule: a delivery-path call that cannot block does
+// not enter the runtime's syscall path either. ReadConn's readv,
+// WriteConn's writev and Wait's epoll_pwait harvest are raw syscalls, made
+// inside RawConn callbacks. The runtime's syscall entry wakes a parked
+// sysmon thread on the first call after every idle spell, and sysmon then
+// polls in 20 µs sleeps on the process's CPU — about two thread wake-ups
+// per paced delivery. Skipping the entry is safe only because all three act
+// on non-blocking descriptors (the runtime keeps every socket and the
+// epoll fd that way), so none of them can hold its thread and P for long.
+// A call that can block must keep the runtime's entry.
+//
 // The package builds on linux (tested) and darwin (compile-checked) and
 // nowhere else: every connection the engine serves is a descriptor on a
 // Poller, so a platform without one has no engine.
 //
 // Safety model: callers never hand the Poller a raw integer fd. Add,
-// Del, and ReadConn all take a syscall.RawConn, whose Control/Read
-// callbacks are reference-counted by the Go runtime — an operation on a
-// connection that has been closed fails with ErrConnClosed instead of
-// touching a recycled fd number that may now belong to a different
-// connection.
+// Del, ReadConn and WriteConn all take a syscall.RawConn, whose callbacks
+// are reference-counted by the Go runtime — an operation on a connection
+// that has been closed fails instead of touching a recycled fd number that
+// may now belong to a different connection: with ErrConnClosed, or for
+// WriteConn with the runtime's own error, which also reports a write
+// deadline that has passed.
 package netpoll
 
 import "errors"

@@ -9,7 +9,9 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
+	"syscall"
+
+	"migratorydata/internal/netpoll"
 )
 
 // DefaultMaxMessageSize bounds reassembled message size.
@@ -37,20 +39,19 @@ type Conn struct {
 	br       *bufio.Reader
 	isServer bool // servers expect masked frames and send unmasked ones
 
-	// Writing the frame (and stamping its deadline) is writeMu's whole
-	// job, so transport writes and time.Now stay allowed under it —
-	// encoding and queue handoffs do not.
-	//vet:lockscope deny=encode,push,block
+	// Writing the frame is writeMu's whole job, so transport writes stay
+	// allowed under it — encoding, queue handoffs and clock reads do not.
+	//vet:lockscope deny=encode,push,time,block
 	writeMu  sync.Mutex
 	writeBuf []byte      // masked-path scratch: header + masked payload copy
 	hdrBuf   []byte      // unmasked-path scratch: frame header only
-	iovecArr [2][]byte   // unmasked-path scratch storage: header, payload
+	iovecArr [2][]byte   // blocking-path scratch storage: header, payload
 	iovec    net.Buffers // view over iovecArr handed to WriteTo
 
-	// Stall-aware writes (engine overload protection): when writeStall > 0,
-	// a frame write blocks at most writeStall; wire bytes that did not fit
-	// are copied into carry and flushed — strictly before any later frame —
-	// by the next write or FlushStalled. carried mirrors len(carry) for
+	// Stall-aware writes (engine overload protection): when rc is set, a
+	// frame write is one non-blocking writev on it; wire bytes the socket
+	// did not take are copied into carry and flushed — strictly before any
+	// later frame — by FlushStalled. carried mirrors len(carry) for
 	// lock-free readers (the engine's workers read it to compute pressure
 	// tiers). carryData records whether any carried bytes belong to data
 	// frames: those are budget-charged and drained by the engine's stalled
@@ -59,10 +60,10 @@ type Conn struct {
 	// dropped rather than growing it past controlCarryCap) and drained
 	// opportunistically by the read loop. All carry state is guarded by
 	// writeMu.
-	writeStall time.Duration
-	carry      []byte
-	carryData  bool
-	carried    atomic.Int64
+	rc        syscall.RawConn
+	carry     []byte
+	carryData bool
+	carried   atomic.Int64
 
 	maxMessage int
 
@@ -120,10 +121,12 @@ func (c *Conn) WriteControl(op Opcode, payload []byte) error {
 //
 // The server (unmasked) path is the engine's egress hot path: the header is
 // built in a reused per-conn scratch and written together with the payload
-// through a reused net.Buffers vector, so one frame — and therefore one
-// WriteBatch carrying a whole output batch — is one writev syscall with no
-// payload copy. Only the masked client path still copies, because masking
-// must not mutate the caller's (possibly shared) payload.
+// in one writev, so one frame — and therefore one WriteBatch carrying a
+// whole output batch — is one syscall with no payload copy. In stall-aware
+// mode that writev is a raw non-blocking one and only the exact unwritten
+// suffix is copied, into the carry. Only the masked client path still
+// copies every frame, because masking must not mutate the caller's
+// (possibly shared) payload.
 //
 //vet:hotpath
 func (c *Conn) writeFrame(fin bool, op Opcode, payload []byte) error {
@@ -136,59 +139,53 @@ func (c *Conn) writeFrame(fin bool, op Opcode, payload []byte) error {
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if !masked {
+	var hdr, body []byte
+	if masked {
+		c.writeBuf = appendFrameHeader(c.writeBuf[:0], fin, op, masked, mask, len(payload))
+		start := len(c.writeBuf)
+		c.writeBuf = append(c.writeBuf, payload...)
+		applyMask(c.writeBuf[start:], mask, 0)
+		hdr = c.writeBuf
+	} else {
 		c.hdrBuf = appendFrameHeader(c.hdrBuf[:0], fin, op, false, mask, len(payload))
-		if c.writeStall > 0 {
-			// Stall-aware path: never block longer than writeStall; carry
-			// what did not fit. Earlier carried bytes flush first so wire
-			// order is preserved.
-			if len(c.carry) > 0 {
-				if c.dropControlCarry(op) {
-					return nil
-				}
-				c.noteCarry(op)
-				c.carry = append(c.carry, c.hdrBuf...)
-				c.carry = append(c.carry, payload...)
-				c.carried.Store(int64(len(c.carry)))
-				return nil
-			}
-			_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeStall))
-		}
-		if len(payload) == 0 {
-			n, err := c.conn.Write(c.hdrBuf)
-			return c.carryRemainder(err, op, c.hdrBuf[n:])
-		}
-		// WriteTo consumes the vector (it advances entries as they drain),
-		// so rebuild the view over the fixed scratch array every write, and
-		// clear it afterwards so a shared fan-out payload is not pinned.
-		c.iovecArr[0], c.iovecArr[1] = c.hdrBuf, payload
-		c.iovec = net.Buffers(c.iovecArr[:])
-		_, err := c.iovec.WriteTo(c.conn)
-		// On a partial write the consumed vector holds exactly the
-		// unwritten remainder.
-		err = c.carryRemainder(err, op, c.iovec...)
-		c.iovecArr[0], c.iovecArr[1] = nil, nil
-		c.iovec = nil
-		return err
+		hdr, body = c.hdrBuf, payload
 	}
-	c.writeBuf = appendFrameHeader(c.writeBuf[:0], fin, op, masked, mask, len(payload))
-	start := len(c.writeBuf)
-	c.writeBuf = append(c.writeBuf, payload...)
-	applyMask(c.writeBuf[start:], mask, 0)
-	if c.writeStall > 0 {
-		if len(c.carry) > 0 {
-			if c.dropControlCarry(op) {
-				return nil
+	if c.rc != nil {
+		// Stall-aware path: never wait; carry what did not fit. Earlier
+		// carried bytes flush first so wire order is preserved.
+		if len(c.carry) == 0 {
+			n, again, err := netpoll.WriteConn(c.rc, hdr, body)
+			if !again {
+				return err
 			}
-			c.noteCarry(op)
-			c.carry = append(c.carry, c.writeBuf...)
-			c.carried.Store(int64(len(c.carry)))
+			if n < len(hdr) {
+				hdr = hdr[n:]
+			} else {
+				hdr, body = nil, body[n-len(hdr):]
+			}
+		} else if c.dropControlCarry(op) {
 			return nil
 		}
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeStall))
+		if !op.IsControl() {
+			c.carryData = true
+		}
+		c.carry = append(append(c.carry, hdr...), body...)
+		c.carried.Store(int64(len(c.carry)))
+		return nil
 	}
-	n, err := c.conn.Write(c.writeBuf)
-	return c.carryRemainder(err, op, c.writeBuf[n:])
+	if len(body) == 0 {
+		_, err := c.conn.Write(hdr)
+		return err
+	}
+	// WriteTo consumes the vector (it advances entries as they drain), so
+	// rebuild the view over the fixed scratch array every write, and clear
+	// it afterwards so a shared fan-out payload is not pinned.
+	c.iovecArr[0], c.iovecArr[1] = hdr, body
+	c.iovec = net.Buffers(c.iovecArr[:])
+	_, err := c.iovec.WriteTo(c.conn)
+	c.iovecArr[0], c.iovecArr[1] = nil, nil
+	c.iovec = nil
+	return err
 }
 
 // controlCarryCap bounds how much control-frame traffic (pongs, close) may
@@ -205,44 +202,20 @@ func (c *Conn) dropControlCarry(op Opcode) bool {
 	return op.IsControl() && len(c.carry) > controlCarryCap
 }
 
-// noteCarry records the class of bytes entering the carry. Caller holds
-// writeMu.
-func (c *Conn) noteCarry(op Opcode) {
-	if !op.IsControl() {
-		c.carryData = true
+// SetWriteStall turns stall-aware writes on or off. On, every frame write
+// is one non-blocking writev on the connection's descriptor, with no
+// deadline; bytes the socket does not take are carried internally
+// (wire-exact, order preserved) and flushed by FlushStalled. A transport
+// without a descriptor keeps blocking writes. The engine turns this on for
+// server connections so a client that stops reading cannot stall its
+// IoThread.
+func (c *Conn) SetWriteStall(on bool) {
+	var rc syscall.RawConn
+	if sc, ok := c.conn.(syscall.Conn); on && ok {
+		rc, _ = sc.SyscallConn()
 	}
-}
-
-// carryRemainder absorbs a write-deadline expiry in stall-aware mode: the
-// unwritten wire bytes are copied into the carry buffer and the write
-// reports success (the frame is "consumed" — it will reach the wire, in
-// order, via FlushStalled). Other errors pass through. Caller holds writeMu.
-func (c *Conn) carryRemainder(err error, op Opcode, rest ...[]byte) error {
-	if err == nil || c.writeStall <= 0 || !isTimeout(err) {
-		return err
-	}
-	c.noteCarry(op)
-	for _, b := range rest {
-		c.carry = append(c.carry, b...)
-	}
-	c.carried.Store(int64(len(c.carry)))
-	return nil
-}
-
-// isTimeout reports whether err is a write-deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// SetWriteStall enables stall-aware writes: one frame write blocks at most
-// d; bytes that do not fit are carried internally (wire-exact, order
-// preserved) and flushed by later writes or FlushStalled. d <= 0 restores
-// plain blocking writes. The engine enables this on server connections so a
-// client that stops reading cannot stall its IoThread.
-func (c *Conn) SetWriteStall(d time.Duration) {
 	c.writeMu.Lock()
-	c.writeStall = d
+	c.rc = rc
 	c.writeMu.Unlock()
 }
 
@@ -250,31 +223,19 @@ func (c *Conn) SetWriteStall(d time.Duration) {
 // Safe from any goroutine.
 func (c *Conn) StalledBytes() int64 { return c.carried.Load() }
 
-// FlushStalled attempts to drain the carry buffer, blocking at most probe,
-// and returns the bytes actually written (exact under writeMu, even with
-// the read loop concurrently appending pongs). Non-timeout write failures
-// return the error; a still-full peer is not an error (StalledBytes stays
-// non-zero and the caller retries later).
-func (c *Conn) FlushStalled(probe time.Duration) (int64, error) {
+// FlushStalled makes one non-blocking attempt to drain the carry buffer and
+// returns the bytes actually written (exact under writeMu, even with the
+// read loop concurrently appending pongs). Write failures return the error;
+// a still-full peer is not an error (StalledBytes stays non-zero and the
+// caller retries later).
+func (c *Conn) FlushStalled() (int64, error) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if len(c.carry) == 0 {
 		return 0, nil
 	}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(probe))
-	n, err := c.conn.Write(c.carry)
-	if n > 0 {
-		rest := copy(c.carry, c.carry[n:])
-		c.carry = c.carry[:rest]
-		c.carried.Store(int64(rest))
-		if rest == 0 {
-			c.carryData = false
-		}
-	}
-	if err != nil && !isTimeout(err) {
-		return int64(n), err
-	}
-	return int64(n), nil
+	n, err := c.flushCarry()
+	return int64(n), err
 }
 
 // flushControlCarry opportunistically drains carry that holds ONLY control
@@ -286,7 +247,7 @@ func (c *Conn) FlushStalled(probe time.Duration) (int64, error) {
 // frames is left strictly to the engine's retries, whose ledger
 // reconciliation must observe every drained byte.
 func (c *Conn) flushControlCarry() {
-	if c.writeStall <= 0 || c.carried.Load() == 0 {
+	if c.carried.Load() == 0 {
 		return
 	}
 	c.writeMu.Lock()
@@ -294,13 +255,22 @@ func (c *Conn) flushControlCarry() {
 	if c.carryData || len(c.carry) == 0 {
 		return
 	}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeStall))
-	n, _ := c.conn.Write(c.carry)
+	_, _ = c.flushCarry()
+}
+
+// flushCarry makes one non-blocking write of the carry and drops what left.
+// Caller holds writeMu, and the carry is non-empty.
+func (c *Conn) flushCarry() (int, error) {
+	n, _, err := netpoll.WriteConn(c.rc, c.carry, nil)
 	if n > 0 {
 		rest := copy(c.carry, c.carry[n:])
 		c.carry = c.carry[:rest]
 		c.carried.Store(int64(rest))
+		if rest == 0 {
+			c.carryData = false
+		}
 	}
+	return n, err
 }
 
 // writeClose sends a close frame once; later calls are no-ops.

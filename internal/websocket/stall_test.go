@@ -51,7 +51,7 @@ func stallPair(t *testing.T) (client, server *Conn, sndbuf int) {
 // transport has room.
 func TestControlCarryBoundedAndReaderDrained(t *testing.T) {
 	client, server, sndbuf := stallPair(t)
-	server.SetWriteStall(time.Millisecond)
+	server.SetWriteStall(true)
 
 	// Server read loop: answers every ping with a pong (stall-aware, so it
 	// never blocks on the full peer).
@@ -95,13 +95,13 @@ func TestControlCarryBoundedAndReaderDrained(t *testing.T) {
 }
 
 // TestWriteStallCarriesAndFlushes proves the stall-aware write contract on
-// the WebSocket layer: a write against a full peer returns within the
-// stall bound with the remainder carried wire-exact, later frames queue
+// the WebSocket layer: a write against a full peer returns without
+// waiting, with the remainder carried wire-exact, later frames queue
 // behind it in order, and once the reader drains, retried flushes deliver
 // every message intact.
 func TestWriteStallCarriesAndFlushes(t *testing.T) {
 	client, server, sndbuf := stallPair(t)
-	server.SetWriteStall(time.Millisecond)
+	server.SetWriteStall(true)
 
 	// Two messages, both larger than the transport buffer: the first write
 	// must carry a remainder instead of blocking, the second must append
@@ -129,7 +129,7 @@ func TestWriteStallCarriesAndFlushes(t *testing.T) {
 		defer close(done)
 		var flushed int64
 		for server.StalledBytes() > 0 {
-			n, err := server.FlushStalled(time.Millisecond)
+			n, err := server.FlushStalled()
 			if err != nil {
 				t.Errorf("FlushStalled: %v", err)
 				return
@@ -156,5 +156,31 @@ func TestWriteStallCarriesAndFlushes(t *testing.T) {
 	}
 	if server.StalledBytes() != 0 {
 		t.Fatalf("StalledBytes = %d after drain", server.StalledBytes())
+	}
+}
+
+// TestStallWritesCopyNothing pins the zero-copy server path in stall-aware
+// mode: header and payload leave in one writev straight from the caller's
+// slice, so frames written while the socket has room — and those that run
+// into a full one — never grow the masked path's frame buffer, and only
+// the unwritten suffix is ever copied, into the carry.
+func TestStallWritesCopyNothing(t *testing.T) {
+	_, server, sndbuf := stallPair(t)
+	server.SetWriteStall(true)
+	payload := bytes.Repeat([]byte("p"), 1000)
+	frames := 4 * sndbuf / len(payload) // well past a full socket
+	for i := 0; i < frames; i++ {
+		if err := server.writeFrame(true, OpBinary, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if server.StalledBytes() == 0 {
+		t.Fatal("nothing carried: the socket never filled")
+	}
+	if c := cap(server.writeBuf); c != 0 {
+		t.Fatalf("cap(writeBuf) = %d after %d stall-mode server frames, want 0 (payload copied)", c, frames)
+	}
+	if wire := int64(frames * (len(payload) + 4)); server.StalledBytes() >= wire {
+		t.Fatalf("carry holds %d of %d wire bytes: nothing reached the socket", server.StalledBytes(), wire)
 	}
 }
