@@ -41,7 +41,7 @@ func main() {
 		batchDelay   = flag.Duration("batch-delay", 0, "output batching delay (0 = off)")
 		batchBytes   = flag.Int("batch-bytes", 32768, "output batching size trigger")
 		conflation   = flag.Duration("conflation", 0, "per-topic conflation interval (0 = off)")
-		egressBudget = flag.Int("egress-budget", 0, "per-client egress byte budget for slow-consumer protection (0 = default 1MiB, negative = off)")
+		egressBudget = flag.Int("egress-budget", 0, "per-client egress byte budget for slow-consumer protection (0 = default 1MiB; negative is rejected, protection is always on)")
 		dataDir      = flag.String("data-dir", "", "durable history directory: crash-safe segment log, replayed at startup (single node only; off by default)")
 		fsyncPolicy  = flag.String("fsync", "interval", "segment-log fsync policy: interval (default, 100ms), never, always, or a duration like 250ms")
 		statsEvery   = flag.Duration("stats", 10*time.Second, "stats print interval (0 = off)")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"math/bits"
@@ -56,16 +57,10 @@ type Config struct {
 	ConflationInterval time.Duration
 	// EgressBudgetBytes bounds the bytes staged-but-unwritten toward one
 	// client (queued frames, batched output, pressure backlog, transport
-	// carry). 0 selects the default (1 MiB); negative disables overload
-	// protection entirely. See docs/ARCHITECTURE.md, "The overload path".
+	// carry). 0 selects the default (1 MiB); Open rejects a negative
+	// value — overload protection cannot be turned off. See
+	// docs/ARCHITECTURE.md, "The overload path".
 	EgressBudgetBytes int
-	// EgressBudgetEvents bounds the frames staged toward one client.
-	// 0 selects the default (8192); negative leaves the event axis
-	// unbounded (bytes still bound).
-	EgressBudgetEvents int
-	// Pressure maps egress budget usage to the overload tier; zero value
-	// selects the default thresholds (0.5 / 0.8 / 1.0).
-	Pressure PressurePolicy
 	// Classify assigns each topic a delivery class for the overload
 	// policy. nil classifies every topic ClassReliable (never dropped; a
 	// critically slow consumer is fenced off and resumes via replay).
@@ -143,9 +138,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.EgressBudgetBytes == 0 {
 		cfg.EgressBudgetBytes = 1 << 20
 	}
-	if cfg.EgressBudgetEvents == 0 {
-		cfg.EgressBudgetEvents = 8192
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -173,11 +165,9 @@ type Engine struct {
 	epoch    uint32
 
 	// Overload protection, precomputed from cfg (see pressure.go).
-	protect            bool
-	egressBudgetBytes  int64
-	egressBudgetEvents int64
-	pressure           pressureThresholds
-	classifyFn         ClassifyFunc
+	egressBudgetBytes int64
+	pressure          pressureThresholds
+	classifyFn        ClassifyFunc
 
 	mu        sync.Mutex
 	clients   map[uint64]*Client
@@ -221,6 +211,9 @@ func New(cfg Config) *Engine {
 // the recovered history and the sequencer's first assignment already
 // carries the bumped boot epoch.
 func Open(cfg Config) (*Engine, error) {
+	if cfg.EgressBudgetBytes < 0 {
+		return nil, fmt.Errorf("core: negative EgressBudgetBytes %d (overload protection cannot be turned off; 0 selects 1 MiB)", cfg.EgressBudgetBytes)
+	}
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:      cfg,
@@ -257,14 +250,8 @@ func Open(cfg Config) (*Engine, error) {
 			"truncations", len(rep.Truncations),
 			"boot_epoch", rep.BootEpoch)
 	}
-	e.protect = cfg.EgressBudgetBytes > 0
-	if e.protect {
-		e.egressBudgetBytes = int64(cfg.EgressBudgetBytes)
-		if cfg.EgressBudgetEvents > 0 {
-			e.egressBudgetEvents = int64(cfg.EgressBudgetEvents)
-		}
-		e.pressure = cfg.Pressure.thresholds(e.egressBudgetBytes, e.egressBudgetEvents)
-	}
+	e.egressBudgetBytes = int64(cfg.EgressBudgetBytes)
+	e.pressure = newPressureThresholds(e.egressBudgetBytes)
 	e.classifyFn = cfg.Classify
 	if cfg.Publish != nil {
 		e.publishFn = cfg.Publish
@@ -424,11 +411,6 @@ func (e *Engine) Attach(framed Framed) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.protect {
-		// Stall-aware writes keep one slow consumer from blocking its
-		// IoThread.
-		framed.SetWriteStall(true)
-	}
 	// Decoded messages and their payloads ride pooled memory; the worker
 	// releases or detaches them per message kind (see handleClientMsg), so
 	// the steady-state decode→dispatch→publish path allocates only the
@@ -544,7 +526,14 @@ func (e *Engine) DeliverGroup(group int, topic string, entry cache.Entry) int {
 	copy(words, wset)
 	sh.mu.RUnlock()
 
+	// Count before pushing: once a worker has the event, the subscriber can
+	// see the NOTIFY, and the counters must already account for it.
 	routed := 0
+	for _, word := range words {
+		routed += bits.OnesCount64(word)
+	}
+	e.stats.routing.Routed.Add(int64(routed))
+	e.stats.routing.Skipped.Add(int64(len(e.workers) - routed))
 	var frame []byte
 	for wi, word := range words {
 		for word != 0 {
@@ -554,11 +543,8 @@ func (e *Engine) DeliverGroup(group int, topic string, entry cache.Entry) int {
 				frame = protocol.Encode(notifyMessage(topic, entry, 0))
 			}
 			e.workers[wi*64+b].in.Push(workerEvent{kind: weDeliver, topic: topic, entry: entry, frame: frame})
-			routed++
 		}
 	}
-	e.stats.routing.Routed.Add(int64(routed))
-	e.stats.routing.Skipped.Add(int64(len(e.workers) - routed))
 	return routed
 }
 

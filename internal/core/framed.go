@@ -26,23 +26,18 @@ import (
 	"net"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"migratorydata/internal/bufpool"
 	"migratorydata/internal/netpoll"
 	"migratorydata/internal/websocket"
 )
 
-// defaultWriteTimeout bounds one transport write so a stalled client cannot
-// block its IoThread indefinitely; on expiry the connection is torn down
-// (the standard broker response to a client that stops draining).
-const defaultWriteTimeout = 30 * time.Second
-
 // Framed abstracts one client connection's byte transport so the engine is
 // identical over raw framed TCP and WebSocket.
 type Framed interface {
 	// WriteBatch writes one or more already-encoded protocol frames in a
-	// single transport operation.
+	// single non-blocking transport write (see the stall-aware write side
+	// below).
 	WriteBatch(batch []byte) error
 	// Close tears the connection down.
 	Close() error
@@ -50,17 +45,12 @@ type Framed interface {
 	RemoteAddr() string
 
 	// The stall-aware write side behind overload protection
-	// (docs/ARCHITECTURE.md, "The overload path"). With stall writes on, a
-	// WriteBatch is one non-blocking write attempt: wire bytes the socket
-	// did not take are retained internally (wire-exact, order preserved)
-	// and drained by FlushStalled — so one client that stops reading can
-	// never stall the IoThread that owns it, and no write arms a deadline.
-	// With protection off SetWriteStall is never called, writes block
-	// under a long timeout and StalledBytes stays 0.
+	// (docs/ARCHITECTURE.md, "The overload path"). A WriteBatch is one
+	// non-blocking write attempt: wire bytes the socket did not take are
+	// retained internally (wire-exact, order preserved) and drained by
+	// FlushStalled — so one client that stops reading can never stall the
+	// IoThread that owns it, and no write arms a deadline.
 
-	// SetWriteStall turns carry-on-EAGAIN writes on or off. Off restores
-	// blocking writes under the default long timeout.
-	SetWriteStall(on bool)
 	// StalledBytes reports retained unwritten wire bytes. Safe from any
 	// goroutine.
 	StalledBytes() int64
@@ -108,10 +98,9 @@ type rawFramed struct {
 	// path (set before registration, read-only afterwards).
 	rc syscall.RawConn
 
-	// Stall-aware write state (see Framed.SetWriteStall). Only the owning
-	// IoThread writes, so carry needs no lock; carried mirrors its length
-	// for lock-free readers (Workers computing pressure tiers).
-	stall   bool
+	// Stall-aware write state (see Framed). Only the owning IoThread
+	// writes, so carry needs no lock; carried mirrors its length for
+	// lock-free readers (Workers computing pressure tiers).
 	carry   []byte
 	carried atomic.Int64
 }
@@ -121,19 +110,11 @@ func NewRawFramed(conn net.Conn) Framed {
 	return &rawFramed{conn: conn}
 }
 
-// WriteBatch implements Framed. With stall writes on the call is one
-// non-blocking write: unwritten bytes are carried and the client is handled
-// as a slow consumer (pressure tiers, retried flushes) instead of blocking
-// the IoThread. With them off it blocks under defaultWriteTimeout, then
-// clears the deadline: the runtime refuses every later raw write on a
-// connection whose deadline has passed.
+// WriteBatch implements Framed: one non-blocking write; unwritten bytes
+// are carried and the client is handled as a slow consumer (pressure tiers,
+// retried flushes) instead of blocking the IoThread. PollConn must have
+// succeeded first (Attach calls it).
 func (r *rawFramed) WriteBatch(batch []byte) error {
-	if !r.stall {
-		_ = r.conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-		_, err := r.conn.Write(batch)
-		_ = r.conn.SetWriteDeadline(time.Time{})
-		return err
-	}
 	if len(r.carry) > 0 {
 		// Strict FIFO: earlier carried bytes must reach the wire first.
 		r.carry = append(r.carry, batch...)
@@ -147,9 +128,6 @@ func (r *rawFramed) WriteBatch(batch []byte) error {
 	}
 	return err
 }
-
-// SetWriteStall implements Framed.
-func (r *rawFramed) SetWriteStall(on bool) { r.stall = on }
 
 // StalledBytes implements Framed.
 func (r *rawFramed) StalledBytes() int64 { return r.carried.Load() }
@@ -224,8 +202,7 @@ func (r *rawFramed) ReadReady(emit func(chunk []byte)) error {
 
 // wsFramed carries protocol frames inside WebSocket binary messages.
 type wsFramed struct {
-	ws       *websocket.Conn
-	stalling bool // stall writes on (the ws layer carries, with no deadline)
+	ws *websocket.Conn
 
 	// Readiness read path state: the cached raw connection and the
 	// incremental deframer that carries partial-frame state across
@@ -235,26 +212,19 @@ type wsFramed struct {
 }
 
 // NewWebSocketFramed wraps an established (post-handshake) WebSocket
-// connection. Message payloads are deframed into pooled buffers (released
-// by the IoThread via RecycleReadChunk, like raw chunks).
+// connection and turns on its stall-aware writes (the websocket layer owns
+// the carry, since control frames written from the read loop share the same
+// wire). Message payloads are deframed into pooled buffers (released by the
+// IoThread via RecycleReadChunk, like raw chunks).
 func NewWebSocketFramed(ws *websocket.Conn) Framed {
+	ws.SetWriteStall()
 	return &wsFramed{ws: ws}
 }
 
 // WriteBatch implements Framed: the whole batch rides in one binary message
 // (transport-level batching for free).
 func (w *wsFramed) WriteBatch(batch []byte) error {
-	if !w.stalling {
-		_ = w.ws.NetConn().SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-	}
 	return w.ws.WriteMessage(websocket.OpBinary, batch)
-}
-
-// SetWriteStall implements Framed (the websocket layer owns the carry,
-// since control frames written from the read loop share the same wire).
-func (w *wsFramed) SetWriteStall(on bool) {
-	w.stalling = on
-	w.ws.SetWriteStall(on)
 }
 
 // StalledBytes implements Framed.

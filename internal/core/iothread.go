@@ -299,7 +299,7 @@ func (t *ioThread) batchFrame(c *Client, frame []byte, topic string, droppable b
 	// the transport is free (recoverEgress frees a blocked one where it
 	// can), diverted into the backlog if not.
 	full := t.hold > 0 && c.passHead != 0 && int(c.passBytes)+len(frame) > t.chunk
-	if full || t.engine.protect && c.egressBlocked() {
+	if full || c.egressBlocked() {
 		t.recoverEgress(c, now)
 		t.writePending(c)
 		if c.closed.Load() {
@@ -495,7 +495,7 @@ func (t *ioThread) recoverEgress(c *Client, now time.Time) {
 // traffic remains — the client has reached TierCritical and is fenced off.
 func (t *ioThread) pushBacklog(c *Client, frame []byte, topic string, droppable bool) {
 	if c.backlog == nil {
-		c.backlog = queue.NewBounded(t.engine.egressBudgetBytes, int(t.engine.egressBudgetEvents),
+		c.backlog = queue.NewBounded(t.engine.egressBudgetBytes, egressBudgetEvents,
 			func(it queue.BoundedItem[[]byte]) {
 				// Policy drop (conflated away or evicted): release the
 				// budget and count it.
@@ -626,11 +626,11 @@ func (t *ioThread) flushStalled(c *Client) {
 }
 
 // write sends a batch of frames to the client, tearing the connection down
-// on error. With overload protection, a stalling transport consumes the
-// batch into its carry buffer instead of blocking: the carried bytes stay
-// charged to the client's egress budget until a later flush drains them,
-// and the client joins the stalled set. Reports whether the client is still
-// usable (false after teardown).
+// on error. A stalling transport consumes the batch into its carry buffer
+// instead of blocking: the carried bytes stay charged to the client's
+// egress budget until a later flush drains them, and the client joins the
+// stalled set. Reports whether the client is still usable (false after
+// teardown).
 func (t *ioThread) write(c *Client, out []byte, frames int64) bool {
 	before := c.stallBytes()
 	err := c.framed.WriteBatch(out)

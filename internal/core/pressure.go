@@ -1,13 +1,14 @@
 // Overload protection for slow consumers (docs/ARCHITECTURE.md, "The
 // overload path"). The engine's egress rides unbounded MPSC queues, so
-// without protection one client that stops reading pins heap without limit
-// and — worse — its blocking transport write stalls the whole IoThread.
-// Protection gives every client a byte/event egress budget, accounted when
-// frames are staged (Client.SendFrame, worker fan-out staging) and released
-// when bytes reach the wire or are dropped by policy. Budget usage maps to a
-// pressure tier; the tier selects the delivery policy, which — like RAFDA's
-// separation of policy from mechanism — is pluggable per deployment through
-// Config.Pressure and Config.Classify:
+// without protection one client that stops reading would pin heap without
+// limit. Protection is always on: every client has a byte/event egress
+// budget, accounted when frames are staged (Client.SendFrame, worker
+// fan-out staging) and released when bytes reach the wire or are dropped by
+// policy, and transport writes never block (a socket that is full carries
+// the unwritten suffix). Budget usage maps to a pressure tier at fixed
+// fractions of either budget — half, four fifths, all of it — and the tier
+// selects the delivery policy; Config.Classify decides which topics the
+// policy may conflate or drop:
 //
 //	healthy   → normal delivery.
 //	conflate  → conflatable topics collapse to last-value-wins in the
@@ -70,85 +71,40 @@ func (t PressureTier) String() string {
 	}
 }
 
-// PressurePolicy maps a client's budget usage to a tier. Fractions are of
-// the configured budgets; zero values take the defaults. Tier, when set,
-// replaces the threshold rule entirely — full policy pluggability.
-type PressurePolicy struct {
-	// ConflateAt is the usage fraction entering TierConflate. Default 0.5.
-	ConflateAt float64
-	// DropAt is the usage fraction entering TierDrop. Default 0.8.
-	DropAt float64
-	// DisconnectAt is the usage fraction entering TierCritical. Default 1.0.
-	DisconnectAt float64
-	// Tier, when non-nil, computes the tier from raw usage and budgets
-	// (either budget may be 0, meaning unbounded on that axis).
-	Tier func(bytesUsed, bytesBudget, eventsUsed, eventsBudget int64) PressureTier
+// egressBudgetEvents bounds the frames staged toward one client, beside
+// Config.EgressBudgetBytes.
+const egressBudgetEvents = 8192
+
+// pressureThresholds are one budget's tier boundaries — 1/2, 4/5 and all of
+// it — precomputed so the staging hot path classifies with integer compares
+// only.
+type pressureThresholds struct{ conflate, drop, crit int64 }
+
+func newPressureThresholds(budget int64) pressureThresholds {
+	return pressureThresholds{conflate: budget / 2, drop: budget * 4 / 5, crit: budget}
 }
 
-// pressureThresholds are the policy fractions pre-multiplied into absolute
-// byte/event counts, so the staging hot path classifies with integer
-// compares only.
-type pressureThresholds struct {
-	conflateB, dropB, critB int64
-	conflateE, dropE, critE int64
-	custom                  func(bytesUsed, bytesBudget, eventsUsed, eventsBudget int64) PressureTier
-	bytesBudget, evBudget   int64
-}
+// eventThresholds are the tier boundaries of the event budget.
+var eventThresholds = newPressureThresholds(egressBudgetEvents)
 
-// thresholds materializes the policy against the configured budgets.
-func (p PressurePolicy) thresholds(bytesBudget, eventsBudget int64) pressureThresholds {
-	conflate, drop, crit := p.ConflateAt, p.DropAt, p.DisconnectAt
-	if conflate <= 0 {
-		conflate = 0.5
-	}
-	if drop <= 0 {
-		drop = 0.8
-	}
-	if crit <= 0 {
-		crit = 1.0
-	}
-	frac := func(budget int64, f float64) int64 {
-		if budget <= 0 {
-			return 0 // unbounded axis: never advances the tier
-		}
-		return int64(float64(budget) * f)
-	}
-	return pressureThresholds{
-		conflateB:   frac(bytesBudget, conflate),
-		dropB:       frac(bytesBudget, drop),
-		critB:       frac(bytesBudget, crit),
-		conflateE:   frac(eventsBudget, conflate),
-		dropE:       frac(eventsBudget, drop),
-		critE:       frac(eventsBudget, crit),
-		custom:      p.Tier,
-		bytesBudget: bytesBudget,
-		evBudget:    eventsBudget,
+// axis classifies usage against one budget.
+func (th *pressureThresholds) axis(used int64) PressureTier {
+	switch {
+	case used < th.conflate:
+		return TierHealthy
+	case used < th.drop:
+		return TierConflate
+	case used < th.crit:
+		return TierDrop
+	default:
+		return TierCritical
 	}
 }
 
-// tier classifies one client's usage.
+// tier classifies one client's usage: the higher of its byte tier (th) and
+// its event tier.
 func (th *pressureThresholds) tier(bytes, events int64) PressureTier {
-	if th.custom != nil {
-		return th.custom(bytes, th.bytesBudget, events, th.evBudget)
-	}
-	axis := func(used, conflate, drop, crit int64) PressureTier {
-		switch {
-		case crit <= 0 || used < conflate:
-			return TierHealthy
-		case used < drop:
-			return TierConflate
-		case used < crit:
-			return TierDrop
-		default:
-			return TierCritical
-		}
-	}
-	tb := axis(bytes, th.conflateB, th.dropB, th.critB)
-	te := axis(events, th.conflateE, th.dropE, th.critE)
-	if te > tb {
-		return te
-	}
-	return tb
+	return max(th.axis(bytes), eventThresholds.axis(events))
 }
 
 // egressLedger is one client's staged-egress account: bytes and events
@@ -169,9 +125,6 @@ type egressLedger struct {
 
 // charge accounts one staged frame and reclassifies.
 func (c *Client) chargeEgress(n int64) {
-	if !c.engine.protect {
-		return
-	}
 	b := c.egress.bytes.Add(n)
 	ev := c.egress.events.Add(1)
 	c.storeTier(b, ev)
@@ -180,7 +133,7 @@ func (c *Client) chargeEgress(n int64) {
 // releaseEgress returns bytes/events to the budget (frames written, dropped,
 // or staged at a client that closed underneath them) and reclassifies.
 func (c *Client) releaseEgress(bytes, events int64) {
-	if !c.engine.protect || (bytes == 0 && events == 0) {
+	if bytes == 0 && events == 0 {
 		return
 	}
 	b := c.egress.bytes.Add(-bytes)

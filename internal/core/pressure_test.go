@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -43,6 +44,21 @@ func publishN(e *Engine, topic string, n, size int) {
 		m.Payload = make([]byte, size)
 		m.Timestamp = 1
 		e.Publish(m)
+	}
+}
+
+// TestNegativeEgressBudgetRejected: overload protection has no off switch.
+// Open refuses a negative budget, rather than reading it as some other
+// value, before it starts any IoThread, Worker or timer goroutine.
+func TestNegativeEgressBudgetRejected(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, err := Open(Config{EgressBudgetBytes: -(1 << 20)})
+	if err == nil {
+		e.Close()
+		t.Fatal("Open accepted a negative EgressBudgetBytes")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d across a rejected Open", before, after)
 	}
 }
 

@@ -202,18 +202,18 @@ func (c *Conn) dropControlCarry(op Opcode) bool {
 	return op.IsControl() && len(c.carry) > controlCarryCap
 }
 
-// SetWriteStall turns stall-aware writes on or off. On, every frame write
-// is one non-blocking writev on the connection's descriptor, with no
-// deadline; bytes the socket does not take are carried internally
-// (wire-exact, order preserved) and flushed by FlushStalled. A transport
-// without a descriptor keeps blocking writes. The engine turns this on for
-// server connections so a client that stops reading cannot stall its
-// IoThread.
-func (c *Conn) SetWriteStall(on bool) {
-	var rc syscall.RawConn
-	if sc, ok := c.conn.(syscall.Conn); on && ok {
-		rc, _ = sc.SyscallConn()
+// SetWriteStall turns stall-aware writes on: every frame write becomes one
+// non-blocking writev on the connection's descriptor, with no deadline;
+// bytes the socket does not take are carried internally (wire-exact, order
+// preserved) and flushed by FlushStalled. A transport without a descriptor
+// keeps blocking writes. The engine turns this on for server connections so
+// a client that stops reading cannot stall its IoThread.
+func (c *Conn) SetWriteStall() {
+	sc, ok := c.conn.(syscall.Conn)
+	if !ok {
+		return
 	}
+	rc, _ := sc.SyscallConn()
 	c.writeMu.Lock()
 	c.rc = rc
 	c.writeMu.Unlock()

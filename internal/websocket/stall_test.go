@@ -51,7 +51,7 @@ func stallPair(t *testing.T) (client, server *Conn, sndbuf int) {
 // transport has room.
 func TestControlCarryBoundedAndReaderDrained(t *testing.T) {
 	client, server, sndbuf := stallPair(t)
-	server.SetWriteStall(true)
+	server.SetWriteStall()
 
 	// Server read loop: answers every ping with a pong (stall-aware, so it
 	// never blocks on the full peer).
@@ -101,7 +101,7 @@ func TestControlCarryBoundedAndReaderDrained(t *testing.T) {
 // every message intact.
 func TestWriteStallCarriesAndFlushes(t *testing.T) {
 	client, server, sndbuf := stallPair(t)
-	server.SetWriteStall(true)
+	server.SetWriteStall()
 
 	// Two messages, both larger than the transport buffer: the first write
 	// must carry a remainder instead of blocking, the second must append
@@ -166,7 +166,7 @@ func TestWriteStallCarriesAndFlushes(t *testing.T) {
 // the unwritten suffix is ever copied, into the carry.
 func TestStallWritesCopyNothing(t *testing.T) {
 	_, server, sndbuf := stallPair(t)
-	server.SetWriteStall(true)
+	server.SetWriteStall()
 	payload := bytes.Repeat([]byte("p"), 1000)
 	frames := 4 * sndbuf / len(payload) // well past a full socket
 	for i := 0; i < frames; i++ {

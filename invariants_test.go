@@ -85,6 +85,19 @@ func reachDelivered(e *core.Engine, target int64) bool {
 	return true
 }
 
+// reachEgressBelow waits until the bytes staged toward clients but not yet
+// written fall to limit or below, and reports whether they did.
+func reachEgressBelow(e *core.Engine, limit int64) bool {
+	deadline := time.Now().Add(30 * time.Second)
+	for e.Stats().EgressQueueBytes > limit {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return true
+}
+
 // waitDelivered is reachDelivered for the test goroutine: a stall is fatal.
 func waitDelivered(t *testing.T, e *core.Engine, target int64) {
 	t.Helper()
@@ -142,12 +155,7 @@ func TestIngestInvariants(t *testing.T) {
 		publishes = 20_000
 	)
 	run := func(t *testing.T, subscribers int, durable bool, maxAllocs float64) {
-		// Overload protection off: the parallel publishers intentionally
-		// outrun the raw drain goroutine between the coarse drain gates,
-		// which the default budget would (correctly) fence as a critically
-		// slow consumer; the overload path has TestSlowConsumerIsolation.
-		cfg := core.Config{ServerID: "ingest", IoThreads: 2, Workers: 2, TopicGroups: 100,
-			EgressBudgetBytes: -1}
+		cfg := core.Config{ServerID: "ingest", IoThreads: 2, Workers: 2, TopicGroups: 100}
 		if durable {
 			cfg.DataDir = t.TempDir() // default fsync policy, 100ms interval
 		}
@@ -191,9 +199,14 @@ func TestIngestInvariants(t *testing.T) {
 						return
 					}
 					publishOne()
-					// Bound queue growth: periodically let the fan-out drain.
+					// Bound queue growth: periodically let the fan-out drain,
+					// to the wire too — Delivered counts at worker staging, so
+					// publishers would otherwise outrun the subscriber until
+					// its egress budget (correctly) fences it as a slow
+					// consumer.
 					if subscribers > 0 && n%2048 == 0 &&
-						!reachDelivered(e, deliveredStart+(n-2048)*int64(subscribers)) {
+						(!reachDelivered(e, deliveredStart+(n-2048)*int64(subscribers)) ||
+							!reachEgressBelow(e, 16<<10)) {
 						return // the final waitDelivered reports the stall
 					}
 				}
@@ -287,10 +300,7 @@ func TestSparseFanoutWorkerPushes(t *testing.T) {
 		{"broadcast-dense", 64, "hot", 1, workers},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Overload protection off, as in TestIngestInvariants: the bare
-			// Deliver loop outruns the harness drains between drain gates.
-			e := core.New(core.Config{ServerID: "sparse", IoThreads: 2, Workers: workers, TopicGroups: 100,
-				EgressBudgetBytes: -1})
+			e := core.New(core.Config{ServerID: "sparse", IoThreads: 2, Workers: workers, TopicGroups: 100})
 			t.Cleanup(func() { e.Close() })
 			attachDrainedSubscribers(t, e, tc.subscribers, "hot", func() {
 				e.Deliver("hot", cache.Entry{Epoch: 1, Seq: 1})

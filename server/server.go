@@ -50,8 +50,8 @@ type Config struct {
 	ConflationInterval time.Duration
 	// EgressBudgetBytes bounds each client's staged-but-unwritten egress —
 	// the slow-consumer overload protection (docs/ARCHITECTURE.md, "The
-	// overload path"). 0 selects the engine default (1 MiB); negative
-	// disables protection.
+	// overload path"). 0 selects the engine default (1 MiB); Open rejects
+	// a negative value, since protection cannot be turned off.
 	EgressBudgetBytes int
 	// Classify assigns topics a delivery class for the overload policy
 	// (nil: every topic reliable — never dropped under pressure).

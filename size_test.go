@@ -19,7 +19,7 @@ import (
 // reason in its text. Set to the tree's size rounded up to the next 100; a
 // PR that cannot land under it raises it by its overage rounded up to the
 // next 10. Lower it when a PR deletes.
-const nonTestLineCeiling = 19_200
+const nonTestLineCeiling = 19_100
 
 // TestSizeLedger walks the module and prints, per package, the non-test Go
 // lines (newline count, as `wc -l`) and the exported identifiers (top-level
