@@ -19,10 +19,8 @@ import (
 	"time"
 
 	"migratorydata/internal/cluster"
-	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
 	"migratorydata/internal/loadgen"
-	"migratorydata/internal/metrics"
 	"migratorydata/internal/protocol"
 )
 
@@ -197,45 +195,6 @@ func BenchmarkC10MScenario(b *testing.B) {
 	}
 }
 
-// BenchmarkGCPauseAblation regenerates the Zing/C4 supplement's shape: the
-// same workload with and without stop-the-world pauses injected into the
-// engine's logic layer. The paper saw mean 61 -> 13.2 ms and P99 585 ->
-// 24.4 ms when replacing the pausing collector; expect the "pauses" run's
-// tail to be an order of magnitude worse than the "no-pauses" run here.
-func BenchmarkGCPauseAblation(b *testing.B) {
-	run := func(b *testing.B, pause *metrics.PauseInjector) loadgen.Result {
-		b.Helper()
-		e := core.New(core.Config{ServerID: "gc", TopicGroups: 100, Pause: pause})
-		defer e.Close()
-		res, err := loadgen.RunScenario(e, loadgen.Scenario{
-			Subscribers:     2000,
-			Topics:          20,
-			PublishInterval: 100 * time.Millisecond,
-			Warmup:          time.Second,
-			Measure:         4 * time.Second,
-			Seed:            5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	b.Run("stop-the-world-pauses", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			inj := metrics.NewPauseInjector(800*time.Millisecond, 120*time.Millisecond, 1)
-			inj.Start()
-			res := run(b, inj)
-			inj.Stop()
-			reportScenario(b, res)
-		}
-	})
-	b.Run("concurrent-collector", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reportScenario(b, run(b, nil))
-		}
-	})
-}
-
 // BenchmarkAblationBatching measures §4's batching claim: under a
 // high-frequency topic, batching collapses many notifications into one I/O
 // operation per client. Compare achieved delivery rate and CPU.
@@ -311,8 +270,7 @@ func BenchmarkAblationReplicationOverhead(b *testing.B) {
 		}
 	})
 	b.Run("cluster-3", func(b *testing.B) {
-		bus := cluster.NewBus()
-		mesh := consensus.NewMesh()
+		net := cluster.NewNetwork()
 		ids := []string{"rb-0", "rb-1", "rb-2"}
 		var nodes []*cluster.Node
 		for i, id := range ids {
@@ -323,7 +281,7 @@ func BenchmarkAblationReplicationOverhead(b *testing.B) {
 				OpTimeout:  2 * time.Second,
 				TickEvery:  5 * time.Millisecond,
 				Seed:       int64(i + 1),
-			}, bus, mesh))
+			}, net))
 		}
 		b.Cleanup(func() {
 			for _, n := range nodes {
@@ -350,8 +308,7 @@ func BenchmarkAblationReplicationOverhead(b *testing.B) {
 func BenchmarkAblationReplicationDegree(b *testing.B) {
 	run := func(b *testing.B, ackCopies int) {
 		b.Helper()
-		bus := cluster.NewBus()
-		mesh := consensus.NewMesh()
+		net := cluster.NewNetwork()
 		ids := []string{"ad-0", "ad-1", "ad-2", "ad-3"}
 		var nodes []*cluster.Node
 		for i, id := range ids {
@@ -363,7 +320,7 @@ func BenchmarkAblationReplicationDegree(b *testing.B) {
 				TickEvery:  5 * time.Millisecond,
 				AckCopies:  ackCopies,
 				Seed:       int64(i + 1),
-			}, bus, mesh))
+			}, net))
 		}
 		b.Cleanup(func() {
 			for _, n := range nodes {

@@ -8,35 +8,33 @@ import (
 	"time"
 
 	"migratorydata/internal/cache"
-	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
 	"migratorydata/internal/protocol"
 	"migratorydata/internal/transport"
 )
 
-// testCluster wires n nodes over an in-process bus + mesh.
+// testCluster wires n nodes over one in-process network.
 type testCluster struct {
 	t     *testing.T
-	bus   *Bus
-	mesh  *consensus.Mesh
+	net   *Network
 	nodes []*Node
 }
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
-	return newTestClusterOn(t, n, NewBus())
+	return newTestClusterOn(t, n, nil)
 }
 
-// newTestClusterOn is newTestCluster over a caller-prepared bus (a send
-// hook must be installed before the members start talking).
-func newTestClusterOn(t *testing.T, n int, bus *Bus) *testCluster {
+// newTestClusterOn is newTestCluster with a send hook on every member,
+// installed before the members start talking.
+func newTestClusterOn(t *testing.T, n int, sendHook func(from, to string, m *protocol.Message) bool) *testCluster {
 	t.Helper()
-	mesh := consensus.NewMesh()
+	net := NewNetwork()
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("node-%d", i)
 	}
-	tc := &testCluster{t: t, bus: bus, mesh: mesh}
+	tc := &testCluster{t: t, net: net}
 	for i, id := range ids {
 		node := NewNode(Config{
 			ID: id, Peers: ids,
@@ -50,7 +48,8 @@ func newTestClusterOn(t *testing.T, n int, bus *Bus) *testCluster {
 			CatchupTimeout:    2 * time.Second,
 			InterestSyncEvery: 50 * time.Millisecond,
 			Seed:              int64(i + 1),
-		}, bus, mesh)
+			sendHook:          sendHook,
+		}, net)
 		tc.nodes = append(tc.nodes, node)
 	}
 	t.Cleanup(func() {
@@ -82,9 +81,8 @@ func (tc *testCluster) waitQuorum() {
 	tc.t.Fatal("coordination service never elected a leader")
 }
 
-// crash fail-stops a node (bus unregister happens inside Stop).
+// crash fail-stops a node; Stop leaves the network.
 func (tc *testCluster) crash(i int) {
-	tc.mesh.Unregister(tc.nodes[i].ID())
 	tc.nodes[i].Stop()
 }
 
@@ -408,9 +406,8 @@ func TestClusterPartitionFencing(t *testing.T) {
 	client.subscribe(protocol.TopicPosition{Topic: "x"})
 	waitCond(t, time.Second, func() bool { return victim.Engine().NumClients() == 1 })
 
-	// Partition the victim from both the bus and the coordination mesh.
-	tc.bus.SetPartitioned(victim.ID(), true)
-	tc.mesh.SetPartitioned(victim.ID(), true)
+	// Partition the victim from the other members.
+	tc.net.SetPartitioned(victim.ID(), true)
 
 	// Within the grace period the victim must fence and close its clients.
 	waitCond(t, 5*time.Second, func() bool { return victim.Fenced() })
@@ -424,8 +421,7 @@ func TestClusterPartitionFencing(t *testing.T) {
 func TestClusterPartitionHealRecoversCache(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	victim := tc.nodes[2]
-	tc.bus.SetPartitioned(victim.ID(), true)
-	tc.mesh.SetPartitioned(victim.ID(), true)
+	tc.net.SetPartitioned(victim.ID(), true)
 	waitCond(t, 5*time.Second, func() bool { return victim.Fenced() })
 
 	// Publish while the victim is cut off.
@@ -437,8 +433,7 @@ func TestClusterPartitionHealRecoversCache(t *testing.T) {
 	}
 
 	// Heal; the victim must reconstruct its cache from peers.
-	tc.bus.SetPartitioned(victim.ID(), false)
-	tc.mesh.SetPartitioned(victim.ID(), false)
+	tc.net.SetPartitioned(victim.ID(), false)
 	waitCond(t, 10*time.Second, func() bool {
 		return !victim.Fenced() &&
 			len(history(victim, "heal-topic")) == 2
@@ -464,7 +459,7 @@ func TestClusterCrashRestartRecover(t *testing.T) {
 		OpTimeout:      time.Second,
 		TickEvery:      5 * time.Millisecond,
 		CatchupTimeout: 2 * time.Second,
-	}, tc.bus, tc.mesh)
+	}, tc.net)
 	defer fresh.Stop()
 	fresh.Recover()
 	got := history(fresh, "restart-topic")

@@ -23,9 +23,10 @@ import (
 
 // interestState tracks the local interest digest and the last digest
 // received from each peer. Writers (local transitions, peer frames) take
-// the write lock — deltas must reach the bus in version order — while the
-// replication hot path only ever reads (peerWantsPayload), so coordinators
-// classifying tiers for different topic groups do not serialize on it.
+// the write lock — deltas must reach the network in version order — while
+// the replication hot path only ever reads (peerWantsPayload), so
+// coordinators classifying tiers for different topic groups do not
+// serialize on it.
 type interestState struct {
 	mu      sync.RWMutex
 	version uint64   // bumped on every local delta
@@ -130,7 +131,7 @@ func (n *Node) onLocalInterestChange(g int) {
 	}
 	for _, peer := range n.cfg.Peers {
 		if peer != n.id {
-			n.bus.Send(n.id, peer, delta)
+			n.send(peer, delta)
 		}
 	}
 	x.mu.Unlock()
@@ -160,7 +161,7 @@ func (n *Node) sendInterestDigest(peers ...string) {
 	}
 	for _, peer := range peers {
 		if peer != n.id {
-			n.bus.Send(n.id, peer, m)
+			n.send(peer, m)
 		}
 	}
 	x.mu.Unlock()

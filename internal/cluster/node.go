@@ -1,3 +1,17 @@
+// Package cluster implements MigratoryData's horizontal scaling and
+// reliability layer (paper §5): subscriber partitioning with publication
+// broadcast, a coordinator/sequencer per topic group elected through the
+// coordination service, lazily-maintained gossip maps, replication with
+// acknowledgement after two copies, coordinator takeover with epoch
+// increments, partition self-fencing, and cache reconstruction.
+//
+// On top of the paper's protocol, replication is interest-aware: members
+// gossip per-topic-group interest digests derived from their subscription
+// indexes, and a coordinator ships full payloads only to members with
+// subscribers in the topic's group (plus what the replication degree
+// requires), downgrading the rest to metadata-only frames. Members whose
+// payloads were suppressed repair their caches through buffered catch-ups
+// when interest returns — see interest.go and docs/ARCHITECTURE.md.
 package cluster
 
 import (
@@ -16,6 +30,28 @@ import (
 	"migratorydata/internal/protocol"
 	"migratorydata/internal/queue"
 )
+
+// PeerFrame is one cluster-internal message together with its sender.
+type PeerFrame struct {
+	From string
+	Msg  *protocol.Message
+
+	// run, when non-nil, is a node-local control event: the dispatcher
+	// executes it instead of handling a message. Never sent over the
+	// network — nodes push it into their own inbox to serialize work (e.g.
+	// the completion of an interest resync) with peer-frame processing.
+	run func()
+}
+
+// Network is the in-process server↔server network: per member, a data
+// lane (replication, gossip, catch-up) of PeerFrames and the
+// coordination service's consensus lane, each in per-sender FIFO order,
+// under one fault model — crash (Unregister) and single-server partition
+// (SetPartitioned).
+type Network = consensus.Mesh[PeerFrame]
+
+// NewNetwork returns an empty network.
+func NewNetwork() *Network { return consensus.NewMesh[PeerFrame]() }
 
 // Config parametrizes one cluster member.
 type Config struct {
@@ -51,6 +87,10 @@ type Config struct {
 	Seed int64
 	// Logger receives debug events. Default: discard.
 	Logger *slog.Logger
+
+	// sendHook, when set (tests), sees every frame this member sends
+	// before the network does and reports whether it consumed it.
+	sendHook func(from, to string, m *protocol.Message) bool
 }
 
 // gossipEntry is one probabilistic coordinator mapping (§5.2.1).
@@ -89,7 +129,7 @@ type Node struct {
 	id     string
 	engine *core.Engine
 	coords *coord.Service
-	bus    *Bus
+	net    *Network
 	logger *slog.Logger
 
 	inbox *queue.MPSC[PeerFrame]
@@ -154,10 +194,10 @@ type nodeStats struct {
 	payloads metrics.PayloadCounters
 }
 
-// NewNode constructs a member wired to bus (engine traffic) and mesh
-// (coordination-service traffic). The returned node is live: its engine
-// accepts attachments immediately.
-func NewNode(cfg Config, bus *Bus, mesh *consensus.Mesh) *Node {
+// NewNode constructs a member and registers it on net: its inbox on the
+// data lane, its coordination-service replica on the consensus lane. The
+// returned node is live: its engine accepts attachments immediately.
+func NewNode(cfg Config, net *Network) *Node {
 	if cfg.SessionTTL <= 0 {
 		cfg.SessionTTL = time.Second
 	}
@@ -179,7 +219,7 @@ func NewNode(cfg Config, bus *Bus, mesh *consensus.Mesh) *Node {
 	n := &Node{
 		cfg:         cfg,
 		id:          cfg.ID,
-		bus:         bus,
+		net:         net,
 		logger:      cfg.Logger.With("node", cfg.ID),
 		inbox:       queue.NewMPSC[PeerFrame](),
 		coordinated: make(map[int32]uint32),
@@ -214,9 +254,8 @@ func NewNode(cfg Config, bus *Bus, mesh *consensus.Mesh) *Node {
 		OpTimeout:  cfg.OpTimeout,
 		TickEvery:  cfg.TickEvery,
 		Seed:       cfg.Seed,
-	}, mesh.Send)
-	mesh.Register(cfg.ID, n.coords.Runner())
-	bus.Register(cfg.ID, n.inbox)
+	}, net.Send)
+	net.Register(cfg.ID, n.coords.Runner(), n.inbox)
 
 	n.wg.Add(2)
 	go n.dispatchLoop()
@@ -311,7 +350,7 @@ func (n *Node) background() {
 	defer t.Stop()
 	var quorumLostAt time.Time
 	var lastDigestSync time.Time
-	lastMembers := len(n.bus.Members())
+	lastMembers := len(n.net.Members())
 	for {
 		select {
 		case <-n.bgStop:
@@ -335,7 +374,7 @@ func (n *Node) background() {
 		// periodically, and immediately when the membership changes (a
 		// joining member starts with no view of us; fail-open at its end
 		// lasts only until this broadcast lands).
-		if members := len(n.bus.Members()); members != lastMembers ||
+		if members := len(n.net.Members()); members != lastMembers ||
 			time.Since(lastDigestSync) >= n.cfg.InterestSyncEvery {
 			lastMembers = members
 			lastDigestSync = time.Now()
@@ -458,17 +497,27 @@ func (n *Node) randomPeer() string {
 	return n.cfg.Peers[n.rng.Intn(len(n.cfg.Peers))]
 }
 
+// send hands m to member to on the data lane. It reports whether the frame
+// reached a registered, reachable inbox.
+func (n *Node) send(to string, m *protocol.Message) bool {
+	if n.cfg.sendHook != nil && n.cfg.sendHook(n.id, to, m) {
+		return true
+	}
+	return n.net.SendTo(n.id, to, PeerFrame{From: n.id, Msg: m})
+}
+
 // groupKey is the coordination-store key for a topic group's coordinator.
 func groupKey(g int32) string { return fmt.Sprintf("groups/%d", g) }
 
-// Stop crash-stops the member: engine closed, coordination session
-// abandoned (its ephemeral entries will expire cluster-wide).
+// Stop crash-stops the member: it leaves the network, its engine closes and
+// its coordination session is abandoned (its ephemeral entries will expire
+// cluster-wide).
 func (n *Node) Stop() {
 	if n.stopped.Swap(true) {
 		return
 	}
 	close(n.bgStop)
-	n.bus.Unregister(n.id)
+	n.net.Unregister(n.id)
 	n.engine.Close()
 	n.coords.Stop()
 	n.inbox.Close()

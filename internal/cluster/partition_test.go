@@ -35,9 +35,8 @@ func TestPartitionedCoordinatorGroupsTakenOver(t *testing.T) {
 		t.Skip("victim never won a coordinatorship in 50 tries (randomized)")
 	}
 
-	// Partition the victim from both planes.
-	tc.bus.SetPartitioned(victim.ID(), true)
-	tc.mesh.SetPartitioned(victim.ID(), true)
+	// Partition the victim from the other members.
+	tc.net.SetPartitioned(victim.ID(), true)
 	waitCond(t, 5*time.Second, func() bool { return victim.Fenced() })
 
 	// A survivor-side publisher must succeed on the victim's old topic:
@@ -62,8 +61,7 @@ func TestPartitionedCoordinatorGroupsTakenOver(t *testing.T) {
 
 	// Heal: the victim recovers its cache, including the message published
 	// while it was away, and unfences.
-	tc.bus.SetPartitioned(victim.ID(), false)
-	tc.mesh.SetPartitioned(victim.ID(), false)
+	tc.net.SetPartitioned(victim.ID(), false)
 	waitCond(t, 10*time.Second, func() bool {
 		if victim.Fenced() {
 			return false
@@ -78,8 +76,7 @@ func TestPartitionedCoordinatorGroupsTakenOver(t *testing.T) {
 func TestFencedNodeRejectsPublications(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	victim := tc.nodes[2]
-	tc.bus.SetPartitioned(victim.ID(), true)
-	tc.mesh.SetPartitioned(victim.ID(), true)
+	tc.net.SetPartitioned(victim.ID(), true)
 	waitCond(t, 5*time.Second, func() bool { return victim.Fenced() })
 
 	// Attach directly post-fencing (a stubborn client reconnecting to the

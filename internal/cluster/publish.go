@@ -85,7 +85,7 @@ func (n *Node) forwardTo(server string, g int32, from *core.Client, m *protocol.
 	fwd.ClientID = n.id
 	fwd.Group = g
 	n.stats.forwarded.Inc()
-	if !n.bus.Send(n.id, server, &fwd) {
+	if !n.send(server, &fwd) {
 		// Peer gone: drop the stale gossip entry and fail the publication;
 		// the republish will trigger a fresh election.
 		n.mu.Lock()
@@ -200,7 +200,7 @@ func (n *Node) sequenceAndReplicate(g int32, epoch uint32, from *core.Client, co
 	}
 	sent := 0
 	for i := 0; i < len(payloadTo); i++ {
-		if n.bus.Send(n.id, payloadTo[i], rep) {
+		if n.send(payloadTo[i], rep) {
 			sent++
 		} else if sent+(len(payloadTo)-i-1) < needed && metaStart < len(metaTo) {
 			// Payload-tier peer unreachable (crashed or partitioned) and
@@ -224,7 +224,7 @@ func (n *Node) sequenceAndReplicate(g int32, epoch uint32, from *core.Client, co
 			Timestamp: m.Timestamp,
 		}
 		for _, peer := range metaTo[metaStart:] {
-			if n.bus.Send(n.id, peer, meta) {
+			if n.send(peer, meta) {
 				n.stats.payloads.Suppressed.Inc()
 			}
 		}
@@ -242,7 +242,7 @@ func (n *Node) sequenceAndReplicate(g int32, epoch uint32, from *core.Client, co
 	n.mu.Unlock()
 	switch {
 	case from == nil:
-		n.bus.Send(n.id, contact, &protocol.Message{
+		n.send(contact, &protocol.Message{
 			Kind: protocol.KindForwardFail, ClientID: n.id,
 			Topic: m.Topic, ID: m.ID, Group: g,
 		})
@@ -273,7 +273,7 @@ func (n *Node) takeoverAndPublish(g int32, from *core.Client, contact string, m 
 				Kind: protocol.KindForwardFail, ClientID: owner,
 				Topic: m.Topic, ID: m.ID, Group: g,
 			}
-			n.bus.Send(n.id, contact, fail)
+			n.send(contact, fail)
 		} else {
 			n.learnGossip(g, owner, 0)
 			n.nack(from, m.ID)
@@ -324,7 +324,7 @@ func (n *Node) becomeCoordinator(g int32) (uint32, error) {
 	}
 	for _, peer := range n.cfg.Peers {
 		if peer != n.id {
-			n.bus.Send(n.id, peer, ann)
+			n.send(peer, ann)
 		}
 	}
 	return epoch, nil
@@ -550,7 +550,7 @@ func (n *Node) ackReplicate(from string, m *protocol.Message) {
 		Kind: protocol.KindReplicateAck, ClientID: n.id,
 		Topic: m.Topic, ID: m.ID, Epoch: m.Epoch, Seq: m.Seq, Group: m.Group,
 	}
-	n.bus.Send(n.id, from, ack)
+	n.send(from, ack)
 
 	if n.cfg.AckCopies <= 2 {
 		n.mu.Lock()
@@ -623,7 +623,7 @@ func (n *Node) handleReplicateAck(m *protocol.Message) {
 			Epoch: m.Epoch, Seq: m.Seq, Status: protocol.StatusOK,
 		})
 	case p.contact != "":
-		n.bus.Send(n.id, p.contact, &protocol.Message{
+		n.send(p.contact, &protocol.Message{
 			Kind: protocol.KindPubDone, ClientID: n.id,
 			Topic: m.Topic, ID: p.msgID, Epoch: p.epoch, Seq: p.seq,
 		})
@@ -671,7 +671,7 @@ func (n *Node) handleCacheRequest(from string, m *protocol.Message) {
 					Epoch: e.Epoch, Seq: e.Seq, Timestamp: e.Timestamp,
 					Group: int32(g),
 				}
-				if !n.bus.Send(n.id, from, resp) {
+				if !n.send(from, resp) {
 					return
 				}
 			}
@@ -681,7 +681,7 @@ func (n *Node) handleCacheRequest(from string, m *protocol.Message) {
 		Kind: protocol.KindCacheResponse, ClientID: n.id,
 		ID: m.ID, Group: m.Group, Status: protocol.StatusOK,
 	}
-	n.bus.Send(n.id, from, done)
+	n.send(from, done)
 }
 
 // handleCacheResponse applies one recovered entry, or completes a catch-up
@@ -754,7 +754,7 @@ func (n *Node) catchupFrom(peers []string, g int32) bool {
 		req := &protocol.Message{
 			Kind: protocol.KindCacheRequest, ClientID: n.id, ID: corr, Group: g,
 		}
-		if n.bus.Send(n.id, peer, req) {
+		if n.send(peer, req) {
 			sent++
 		}
 	}
@@ -773,9 +773,9 @@ func (n *Node) catchupFrom(peers []string, g int32) bool {
 	}
 }
 
-// livePeers lists the other members currently registered on the bus.
+// livePeers lists the other members currently registered on the network.
 func (n *Node) livePeers() []string {
-	members := n.bus.Members()
+	members := n.net.Members()
 	out := members[:0]
 	for _, id := range members {
 		if id != n.id {

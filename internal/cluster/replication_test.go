@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
 	"migratorydata/internal/protocol"
 )
@@ -14,13 +13,12 @@ import (
 // newDegreeCluster builds a cluster with an explicit replication degree.
 func newDegreeCluster(t *testing.T, n, ackCopies int) *testCluster {
 	t.Helper()
-	bus := NewBus()
-	mesh := consensus.NewMesh()
+	net := NewNetwork()
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("deg-%d", i)
 	}
-	tc := &testCluster{t: t, bus: bus, mesh: mesh}
+	tc := &testCluster{t: t, net: net}
 	for i, id := range ids {
 		node := NewNode(Config{
 			ID: id, Peers: ids,
@@ -31,7 +29,7 @@ func newDegreeCluster(t *testing.T, n, ackCopies int) *testCluster {
 			AckCopies:      ackCopies,
 			CatchupTimeout: 2 * time.Second,
 			Seed:           int64(i + 1),
-		}, bus, mesh)
+		}, net)
 		tc.nodes = append(tc.nodes, node)
 	}
 	t.Cleanup(func() {
@@ -164,7 +162,7 @@ func TestCacheRequestSpecificGroup(t *testing.T) {
 		OpTimeout:      time.Second,
 		TickEvery:      5 * time.Millisecond,
 		CatchupTimeout: 2 * time.Second,
-	}, tc.bus, tc.mesh)
+	}, tc.net)
 	defer fresh.Stop()
 	fresh.catchupGroup(g)
 	if got := len(history(fresh, "group-req-topic")); got != 1 {
@@ -175,15 +173,14 @@ func TestCacheRequestSpecificGroup(t *testing.T) {
 // TestReplicaAckBeforeBroadcastReturns is the regression test for the
 // pendingAck registration order: a replica's ack that reaches the
 // coordinator while sequenceAndReplicate is still inside its first
-// bus.Send must find the ack expectation already registered. The send hook
-// delivers the ack synchronously inside Send (and swallows the replica's
+// send must find the ack expectation already registered. The send hook
+// delivers the ack synchronously inside send (and swallows the replica's
 // own later ack), so with the expectation registered after the broadcast
 // the delivered publish is refused at OpTimeout instead of acknowledged.
 func TestReplicaAckBeforeBroadcastReturns(t *testing.T) {
 	const topic = "ack-race"
 	var coordinator atomic.Pointer[Node]
-	bus := NewBus()
-	bus.sendHook = func(from, to string, m *protocol.Message) bool {
+	tc := newTestClusterOn(t, 3, func(from, to string, m *protocol.Message) bool {
 		c := coordinator.Load()
 		switch {
 		case c == nil:
@@ -196,8 +193,7 @@ func TestReplicaAckBeforeBroadcastReturns(t *testing.T) {
 			return true // already delivered, synchronously, above
 		}
 		return false
-	}
-	tc := newTestClusterOn(t, 3, bus)
+	})
 
 	// Elect the topic's coordinator, then publish from one of ITS clients:
 	// the local-publisher path is the one that waits on pendingAck.

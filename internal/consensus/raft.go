@@ -189,9 +189,6 @@ func (n *Node) Term() uint64 { return n.term }
 // Leader returns the last known leader's ID ("" if unknown).
 func (n *Node) Leader() string { return n.leader }
 
-// CommitIndex returns the highest committed log index.
-func (n *Node) CommitIndex() uint64 { return n.commitIndex }
-
 // LastIndex returns the last log index.
 func (n *Node) LastIndex() uint64 { return n.log[len(n.log)-1].Index }
 

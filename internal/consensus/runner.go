@@ -127,55 +127,91 @@ func (r *Runner) Stop() {
 	<-r.done
 }
 
-// Mesh is an in-process transport connecting the Runners of one cluster:
-// Send routes by Message.To. Register every runner before traffic flows.
-// A Partition set can isolate nodes to exercise the paper's fault model
-// (crash or partition of one server, §5.2).
-type Mesh struct {
+// Mesh is the cluster's in-process network. A member has two endpoints,
+// kept as separate FIFO lanes so that election traffic never queues behind
+// data: its Runner (the consensus lane, reached by Send, which routes by
+// Message.To) and an optional inbox of F frames (the data lane, reached by
+// SendTo). One member table and one isolation map serve both lanes, so the
+// paper's fault model (§5.2) is one call each: Unregister crash-stops a
+// member and SetPartitioned cuts one off from the others. Frames are
+// shared, never copied — receivers treat them as read-only.
+type Mesh[F any] struct {
 	mu       sync.Mutex
-	members  map[string]*Runner
+	members  map[string]meshMember[F]
 	isolated map[string]bool
 }
 
-// NewMesh returns an empty mesh.
-func NewMesh() *Mesh {
-	return &Mesh{
-		members:  make(map[string]*Runner),
+type meshMember[F any] struct {
+	runner *Runner
+	inbox  *queue.MPSC[F]
+}
+
+// NewMesh returns an empty network.
+func NewMesh[F any]() *Mesh[F] {
+	return &Mesh[F]{
+		members:  make(map[string]meshMember[F]),
 		isolated: make(map[string]bool),
 	}
 }
 
-// Register adds a runner reachable as id.
-func (m *Mesh) Register(id string, r *Runner) {
+// Register attaches a member's endpoints. inbox may be nil for a member
+// that only runs consensus.
+func (m *Mesh[F]) Register(id string, r *Runner, inbox *queue.MPSC[F]) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.members[id] = r
+	m.members[id] = meshMember[F]{runner: r, inbox: inbox}
 }
 
-// Unregister removes a runner (crash simulation).
-func (m *Mesh) Unregister(id string) {
+// Unregister detaches both of a member's endpoints (crash-stop).
+func (m *Mesh[F]) Unregister(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.members, id)
 }
 
-// SetPartitioned isolates (or reconnects) id: messages from or to an
-// isolated node are dropped, while the node keeps running — the paper's
-// "network partition of one server from other servers" fault.
-func (m *Mesh) SetPartitioned(id string, partitioned bool) {
+// SetPartitioned isolates (or reconnects) id: traffic on either lane from
+// or to an isolated member is dropped while it keeps running — the paper's
+// "network partition of one server from other servers (but not necessarily
+// from its connected clients)".
+func (m *Mesh[F]) SetPartitioned(id string, partitioned bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.isolated[id] = partitioned
 }
 
-// Send implements SendFunc semantics for the whole mesh.
-func (m *Mesh) Send(msg Message) {
+// Members lists the registered member IDs.
+func (m *Mesh[F]) Members() []string {
 	m.mu.Lock()
-	target := m.members[msg.To]
+	defer m.mu.Unlock()
+	out := make([]string, 0, len(m.members))
+	for id := range m.members {
+		out = append(out, id)
+	}
+	return out
+}
+
+// Send implements SendFunc semantics on the consensus lane.
+func (m *Mesh[F]) Send(msg Message) {
+	m.mu.Lock()
+	target := m.members[msg.To].runner
 	dropped := m.isolated[msg.From] || m.isolated[msg.To]
 	m.mu.Unlock()
 	if target == nil || dropped {
 		return
 	}
 	target.Deliver(msg)
+}
+
+// SendTo delivers f on the data lane. It reports whether f was handed to a
+// registered, reachable inbox.
+func (m *Mesh[F]) SendTo(from, to string, f F) bool {
+	m.mu.Lock()
+	inbox := m.members[to].inbox
+	blocked := m.isolated[from] || m.isolated[to]
+	m.mu.Unlock()
+	if inbox == nil || blocked {
+		return false
+	}
+	inbox.Push(f)
+	return true
 }

@@ -5,11 +5,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"migratorydata/internal/queue"
 )
 
 // liveCluster runs n real Runners over a Mesh with short ticks.
 type liveCluster struct {
-	mesh    *Mesh
+	mesh    *Mesh[struct{}]
 	runners []*Runner
 	applied []*appliedLog
 }
@@ -33,7 +35,7 @@ func (a *appliedLog) snapshot() []string {
 
 func newLiveCluster(t *testing.T, n int) *liveCluster {
 	t.Helper()
-	mesh := NewMesh()
+	mesh := NewMesh[struct{}]()
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("live-%d", i)
@@ -45,7 +47,7 @@ func newLiveCluster(t *testing.T, n int) *liveCluster {
 		node := NewNode(Config{ID: id, Peers: ids, Seed: int64(i + 1)},
 			func(e Entry) { log.add(string(e.Cmd)) })
 		r := NewRunner(node, mesh.Send, 5*time.Millisecond)
-		mesh.Register(id, r)
+		mesh.Register(id, r, nil)
 		lc.runners = append(lc.runners, r)
 	}
 	t.Cleanup(func() {
@@ -144,8 +146,52 @@ func TestRunnerStopIdempotent(t *testing.T) {
 	r.Stop()
 }
 
-func TestMeshUnregisteredDropped(t *testing.T) {
-	mesh := NewMesh()
-	// Sending to an unknown member must not panic or block.
-	mesh.Send(Message{From: "a", To: "ghost"})
+// TestMeshFaultModel checks the one fault model on both lanes: a partition
+// is one SetPartitioned call and a crash one Unregister call, and either
+// acts on the consensus lane (Send) and the data lane (SendTo) alike.
+func TestMeshFaultModel(t *testing.T) {
+	partitionA := func(m *Mesh[int]) { m.SetPartitioned("a", true) }
+	cases := []struct {
+		name               string
+		fault              func(m *Mesh[int])
+		from, to           string
+		wantRaft, wantData bool
+		members            int
+	}{
+		{"healthy", nil, "a", "b", true, true, 3},
+		{"partitioned sender", partitionA, "a", "b", false, false, 3},
+		{"partitioned receiver", partitionA, "b", "a", false, false, 3},
+		{"healed", func(m *Mesh[int]) { partitionA(m); m.SetPartitioned("a", false) }, "a", "b", true, true, 3},
+		{"unregistered receiver", func(m *Mesh[int]) { m.Unregister("b") }, "a", "b", false, false, 2},
+		{"unknown receiver", nil, "a", "ghost", false, false, 3},
+		{"receiver without inbox", nil, "a", "raft-only", true, false, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mesh := NewMesh[int]()
+			runners := map[string]*Runner{}
+			inboxes := map[string]*queue.MPSC[int]{}
+			for _, id := range []string{"a", "b", "raft-only"} {
+				runners[id] = &Runner{events: queue.NewMPSC[Message]()}
+				if id != "raft-only" {
+					inboxes[id] = queue.NewMPSC[int]()
+				}
+				mesh.Register(id, runners[id], inboxes[id])
+			}
+			if tc.fault != nil {
+				tc.fault(mesh)
+			}
+			mesh.Send(Message{Type: MsgAppend, From: tc.from, To: tc.to})
+			sent := mesh.SendTo(tc.from, tc.to, 1)
+			gotRaft := runners[tc.to] != nil && runners[tc.to].events.Len() == 1
+			gotData := inboxes[tc.to] != nil && inboxes[tc.to].Len() == 1
+			if gotRaft != tc.wantRaft || gotData != tc.wantData || sent != tc.wantData {
+				t.Fatalf("%s→%s: consensus delivered %v, data delivered %v (SendTo %v); want %v, %v",
+					tc.from, tc.to, gotRaft, gotData, sent, tc.wantRaft, tc.wantData)
+			}
+			if got := mesh.Members(); len(got) != tc.members {
+				t.Fatalf("Members() = %v, want %d members", got, tc.members)
+			}
+		})
+	}
 }

@@ -112,8 +112,9 @@ type Service struct {
 	bgDone  chan struct{}
 }
 
-// New constructs a Service wired to send via the given function (typically
-// consensus.Mesh.Send). Call Start on every replica of the cluster.
+// New constructs a Service wired to send via the given function (in
+// process, the consensus lane of the cluster network: consensus.Mesh's
+// Send). Register its Runner on that network.
 func New(cfg Config, send consensus.SendFunc) *Service {
 	if cfg.SessionTTL <= 0 {
 		cfg.SessionTTL = time.Second
@@ -141,7 +142,8 @@ func New(cfg Config, send consensus.SendFunc) *Service {
 	return s
 }
 
-// Runner exposes the consensus runner (the mesh needs it for registration).
+// Runner exposes the consensus runner (the network needs it for
+// registration).
 func (s *Service) Runner() *consensus.Runner { return s.run }
 
 // ID returns the replica name.

@@ -12,13 +12,13 @@ import (
 
 // cluster spins up n coordination replicas on an in-process mesh.
 type cluster struct {
-	mesh     *consensus.Mesh
+	mesh     *consensus.Mesh[struct{}]
 	services []*Service
 }
 
 func newCluster(t *testing.T, n int) *cluster {
 	t.Helper()
-	mesh := consensus.NewMesh()
+	mesh := consensus.NewMesh[struct{}]()
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("srv-%d", i)
@@ -32,7 +32,7 @@ func newCluster(t *testing.T, n int) *cluster {
 			TickEvery:  5 * time.Millisecond,
 			Seed:       int64(i + 1),
 		}, mesh.Send)
-		mesh.Register(id, svc.Runner())
+		mesh.Register(id, svc.Runner(), nil)
 		c.services = append(c.services, svc)
 	}
 	t.Cleanup(func() {

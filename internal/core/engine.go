@@ -71,9 +71,6 @@ type Config struct {
 	// Publish overrides the publication path (installed by the cluster
 	// layer). Default: local sequencer.
 	Publish PublishFunc
-	// Pause optionally injects stop-the-world pauses into the Worker loop
-	// (GC ablation experiment).
-	Pause *metrics.PauseInjector
 	// DataDir, when non-empty, enables durable history: sequenced entries
 	// are written write-behind to a per-group segment log under this
 	// directory (internal/seglog), and Open replays it at boot so
@@ -88,9 +85,6 @@ type Config struct {
 	// 8 MiB / 10 minutes). Ignored without DataDir.
 	SegmentMaxBytes int64
 	SegmentMaxAge   time.Duration
-	// SeglogFS overrides the segment log's filesystem (fault injection in
-	// tests); nil selects the real disk.
-	SeglogFS seglog.FS
 	// Recorder, when non-nil, taps every client connection for the
 	// capture/replay pipeline (internal/capture): connection opens and
 	// closes, every decoded inbound frame, and every outbound frame are
@@ -232,7 +226,6 @@ func Open(cfg Config) (*Engine, error) {
 			Fsync:           cfg.Fsync,
 			SegmentMaxBytes: cfg.SegmentMaxBytes,
 			SegmentMaxAge:   cfg.SegmentMaxAge,
-			FS:              cfg.SeglogFS,
 			Logger:          cfg.Logger,
 		}, func(gid int, topic string, entry cache.Entry) bool {
 			return e.cache.RecoverGroup(gid, topic, entry)
@@ -279,10 +272,6 @@ func Open(cfg Config) (*Engine, error) {
 	e.cpu.Start()
 	return e, nil
 }
-
-// SetPublishFunc replaces the publication path. Must be called before any
-// client publishes (typically right after New, by the cluster layer).
-func (e *Engine) SetPublishFunc(fn PublishFunc) { e.publishFn = fn }
 
 // SetInterestHook installs fn to be called whenever this server gains its
 // first local subscriber in a topic group or loses its last one. The hook

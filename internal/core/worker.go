@@ -89,7 +89,6 @@ func (w *worker) run() {
 		if !ok {
 			return
 		}
-		w.engine.cfg.Pause.Gate()
 		start := time.Now()
 		for i := range events {
 			w.handle(&events[i])

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"migratorydata/internal/cluster"
-	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
 	"migratorydata/internal/metrics"
 )
@@ -83,8 +82,7 @@ func RunClusterScenario(cfg ClusterScenario) (Result, error) {
 		cfg.TickEvery = 5 * time.Millisecond
 	}
 
-	bus := cluster.NewBus()
-	mesh := consensus.NewMesh()
+	network := cluster.NewNetwork()
 	ids := make([]string, cfg.Members)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("srv-%d", i)
@@ -100,7 +98,7 @@ func RunClusterScenario(cfg ClusterScenario) (Result, error) {
 			TickEvery:         cfg.TickEvery,
 			InterestSyncEvery: cfg.InterestSyncEvery,
 			Seed:              int64(i + 1),
-		}, bus, mesh)
+		}, network)
 		engines[i] = nodes[i].Engine()
 	}
 	defer func() {

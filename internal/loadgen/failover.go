@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"migratorydata/internal/cluster"
-	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
 	"migratorydata/internal/metrics"
 )
@@ -74,8 +73,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	}
 
 	// Build the cluster.
-	bus := cluster.NewBus()
-	mesh := consensus.NewMesh()
+	net := cluster.NewNetwork()
 	ids := make([]string, cfg.Members)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("srv-%d", i)
@@ -90,7 +88,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 			OpTimeout:  cfg.OpTimeout,
 			TickEvery:  cfg.TickEvery,
 			Seed:       int64(i + 1),
-		}, bus, mesh)
+		}, net)
 		engines[i] = nodes[i].Engine()
 	}
 	defer func() {
@@ -150,7 +148,6 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 
 	// Fail-stop the last member (never the publisher's).
 	crashIdx := cfg.Members - 1
-	mesh.Unregister(nodes[crashIdx].ID())
 	nodes[crashIdx].Stop()
 
 	// Let clients fail over, then the "after" window.

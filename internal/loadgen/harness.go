@@ -196,17 +196,6 @@ func RunScenario(e *core.Engine, sc Scenario) (Result, error) {
 	return runWith(sc, attach, attach, e.Stats, func() { e.ResetMeters() })
 }
 
-// StartScenarioMulti starts the benchmark tools against several engines
-// with subscriber failover enabled and returns them without driving the
-// measurement, so fault-tolerance harnesses (Table 2) control warm-up,
-// fail-stop injection, and before/after windows themselves.
-func StartScenarioMulti(engines []*core.Engine, sc Scenario) (*Benchsub, *Benchpub, error) {
-	sc = sc.withDefaults()
-	sc.Failover = true
-	attach := MultiEngineAttach(engines, sc.PipeBuffer)
-	return startScenario(sc, attach, attach)
-}
-
 // runWith is the single-engine scenario driver.
 func runWith(sc Scenario, subAttach, pubAttach AttachFunc,
 	meters func() core.Stats, resetMeters func()) (Result, error) {

@@ -176,65 +176,6 @@ func TestCPUSampler(t *testing.T) {
 	}
 }
 
-func TestPauseInjectorGateWhenIdle(t *testing.T) {
-	p := NewPauseInjector(time.Hour, time.Millisecond, 1)
-	p.Start()
-	defer p.Stop()
-	done := make(chan struct{})
-	go func() {
-		p.Gate() // no pause scheduled for an hour: must not block
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Gate blocked with no active pause")
-	}
-}
-
-func TestPauseInjectorNilGate(t *testing.T) {
-	var p *PauseInjector
-	p.Gate() // must not panic
-}
-
-func TestPauseInjectorPausesAndResumes(t *testing.T) {
-	p := NewPauseInjector(time.Millisecond, 10*time.Millisecond, 42)
-	p.Start()
-	defer p.Stop()
-	// Wait until a pause has certainly been triggered, then verify Gate
-	// eventually releases.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		total, count := p.TotalPaused()
-		if count > 0 && total > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no pause occurred within 2s")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 100; i++ {
-			p.Gate()
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Gate never released")
-	}
-}
-
-func TestPauseInjectorStopIdempotent(t *testing.T) {
-	p := NewPauseInjector(time.Hour, time.Millisecond, 1)
-	p.Start()
-	p.Stop()
-	p.Stop()
-}
-
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()
@@ -251,13 +192,5 @@ func BenchmarkHistogramSnapshot10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.Snapshot()
-	}
-}
-
-func BenchmarkPauseGateUncontended(b *testing.B) {
-	p := NewPauseInjector(time.Hour, time.Millisecond, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Gate()
 	}
 }

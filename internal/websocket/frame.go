@@ -33,9 +33,7 @@ func (o Opcode) IsControl() bool { return o >= OpClose }
 const (
 	CloseNormal          = 1000
 	CloseGoingAway       = 1001
-	CloseProtocolError   = 1002
 	CloseMessageTooBig   = 1009
-	CloseInternalError   = 1011
 	CloseNoStatusRcvd    = 1005 // never sent on the wire
 	closeCodeWireMinimum = 1000
 )

@@ -14,9 +14,7 @@ import (
 
 	"migratorydata/internal/capture"
 	"migratorydata/internal/cluster"
-	"migratorydata/internal/consensus"
 	"migratorydata/internal/core"
-	"migratorydata/internal/metrics"
 	"migratorydata/internal/seglog"
 	"migratorydata/internal/transport"
 )
@@ -74,8 +72,6 @@ type Config struct {
 	// capture (see internal/capture). Nil (the default) costs the hot path
 	// one nil-check branch.
 	Recorder *capture.Recorder
-	// Pause optionally injects stop-the-world pauses (GC ablation).
-	Pause *metrics.PauseInjector
 	// Logger receives debug events.
 	Logger *slog.Logger
 }
@@ -110,7 +106,6 @@ func (cfg Config) engineConfig() core.Config {
 		SegmentMaxBytes:    cfg.SegmentMaxBytes,
 		SegmentMaxAge:      cfg.SegmentMaxAge,
 		Recorder:           cfg.Recorder,
-		Pause:              cfg.Pause,
 		Logger:             cfg.Logger,
 	}
 }
@@ -242,13 +237,12 @@ type ClusterSpec struct {
 	Seed int64
 }
 
-// Cluster is an in-process MigratoryData cluster: n Servers joined by a
-// replication bus and a coordination mesh. The paper deploys one process
-// per machine; this form runs them in one process for harnesses, examples,
-// and tests, with identical protocol behaviour.
+// Cluster is an in-process MigratoryData cluster: n Servers joined by one
+// in-process network carrying replication and coordination traffic. The
+// paper deploys one process per machine; this form runs them in one
+// process for harnesses, examples, and tests, with identical protocol
+// behaviour.
 type Cluster struct {
-	Bus     *cluster.Bus
-	Mesh    *consensus.Mesh
 	Servers []*Server
 }
 
@@ -257,8 +251,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	if len(spec.Members) == 0 {
 		return nil, errors.New("server: cluster needs at least one member")
 	}
-	bus := cluster.NewBus()
-	mesh := consensus.NewMesh()
+	network := cluster.NewNetwork()
 	ids := make([]string, len(spec.Members))
 	for i, m := range spec.Members {
 		if m.ID == "" {
@@ -272,7 +265,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		}
 		ids[i] = m.ID
 	}
-	c := &Cluster{Bus: bus, Mesh: mesh}
+	c := &Cluster{}
 	for i, m := range spec.Members {
 		node := cluster.NewNode(cluster.Config{
 			ID:             m.ID,
@@ -285,7 +278,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			AckCopies:      spec.AckCopies,
 			Seed:           spec.Seed + int64(i+1),
 			Logger:         m.Logger,
-		}, bus, mesh)
+		}, network)
 		srv := newClusterMember(m, node)
 		if err := srv.Start(); err != nil {
 			srv.Close()
@@ -317,9 +310,7 @@ func (c *Cluster) WaitReady(timeout time.Duration) error {
 // Crash fail-stops member i (Table 2's fault injection): its clients are
 // disconnected, its coordination session expires, and survivors take over.
 func (c *Cluster) Crash(i int) {
-	s := c.Servers[i]
-	c.Mesh.Unregister(s.ID())
-	s.Close()
+	c.Servers[i].Close()
 }
 
 // Close stops every member.
